@@ -17,6 +17,7 @@ from .analysis import (
     h2_norm_squared,
     mixed_norms,
     ms_norm,
+    ms_operator,
     ms_operator_abscissa,
     simulate_fading_covariance,
 )

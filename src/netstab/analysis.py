@@ -6,11 +6,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import linalg
 
-from .errors import InvalidInput, NotHurwitz
+from .errors import InvalidInput, NetstabError, NotHurwitz
 from .numerics import (
+    _OVERFLOW_LIMIT,
     MatrixTrajectory,
-    integrate_linear_matrix_ode,
     is_hurwitz,
     solve_lyapunov,
     spectral_abscissa,
@@ -161,28 +162,101 @@ def covariance_rhs(plant: Plant, design, ch: ChannelEnsemble):
     return rhs
 
 
-def ms_operator_abscissa(plant: Plant, design, ch: ChannelEnsemble) -> float:
-    """Spectral abscissa of the vectorized covariance evolution operator.
-
-    Negative exactly when the closed fading loop is mean-square stable; its
-    magnitude is the slowest mean-square decay rate, which is the right time
-    scale for covariance simulations.
-    """
-    Acl = plant.A + plant.B @ design.F
-    G, Ccl, s2 = _fading_noise_feedback(plant, design, ch)
-    n = plant.n
+def _ms_generator(Acl, G, Ccl, s2) -> np.ndarray:
+    """n^2 x n^2 matrix of X -> Acl X + X Acl' + sum_i s2_i g_i g_i' (c_i' X c_i)
+    acting on column-major vec(X)."""
+    n = Acl.shape[0]
     op = np.kron(np.eye(n), Acl) + np.kron(Acl, np.eye(n))
     for i in range(G.shape[1]):
         gi = G[:, i]
         ci = Ccl[i, :]
         op += s2[i] * np.outer(np.outer(gi, gi).flatten(order="F"), np.kron(ci, ci))
-    return float(np.max(np.linalg.eigvals(op).real))
+    return op
+
+
+def ms_operator(plant: Plant, design, ch: ChannelEnsemble) -> np.ndarray:
+    """Generator of the vectorized covariance evolution under multiplicative
+    channel noise.
+
+    Returns the n^2 x n^2 matrix L with vec(X)' = L vec(X) (column-major
+    vec): the Lyapunov part I (x) Acl + Acl (x) I plus, per channel i, the
+    rank-one re-injection s2_i vec(g_i g_i') (c_i (x) c_i)' with G = BR and
+    C = TF. It is the operator :func:`covariance_rhs` applies to a matrix.
+    """
+    Acl = plant.A + plant.B @ design.F
+    G, Ccl, s2 = _fading_noise_feedback(plant, design, ch)
+    return _ms_generator(Acl, G, Ccl, s2)
+
+
+def _ms_lyapunov_coordinates(Acl, G, Ccl, s2):
+    """W and its inverse for the coordinates X -> W X W' with W'W = P, P the
+    solution of the adjoint equation
+    Acl'P + P Acl + sum_i s2_i (g_i'P g_i) c_i c_i' = -I.
+
+    For a mean-square stable loop P is positive definite and tr(P X) is a
+    Lyapunov function of the covariance flow. With q_i = g_i'P g_i,
+    P = P0 + sum_i s2_i q_i P_i where P0 and P_i solve Lyapunov equations
+    with right-hand sides I and c_i c_i', and q solves the m x m system
+    (I - M) q = q0, M_ji = s2_i g_j'P_i g_j. The eigenvalues of P are
+    floored at 1e-15 of the largest, which keeps W invertible where
+    rounding leaves P indefinite; any invertible W gives an exact change
+    of coordinates, only the contraction needs P. The identity when no P
+    can be computed (A + BF not Hurwitz) or P has no positive eigenvalue.
+    """
+    n = Acl.shape[0]
+    try:
+        P0 = solve_lyapunov(Acl.T, np.eye(n))
+        Pi = [solve_lyapunov(Acl.T, np.outer(c, c)) for c in Ccl]
+        M = np.array([[s2[i] * (g @ Pi[i] @ g) for i in range(s2.size)] for g in G.T])
+        q = np.linalg.solve(np.eye(s2.size) - M, [g @ P0 @ g for g in G.T])
+        P = P0 + sum(s2[i] * q[i] * Pi[i] for i in range(s2.size))
+        lam, V = np.linalg.eigh(0.5 * (P + P.T))
+    except (NetstabError, np.linalg.LinAlgError):
+        return np.eye(n), np.eye(n)
+    if not lam[-1] > 0:
+        return np.eye(n), np.eye(n)
+    root = np.sqrt(np.maximum(lam, 1e-15 * lam[-1]))
+    return root[:, None] * V.T, V / root
+
+
+def ms_operator_abscissa(plant: Plant, design, ch: ChannelEnsemble) -> float:
+    """Spectral abscissa of :func:`ms_operator`.
+
+    Negative exactly when the closed fading loop is mean-square stable; its
+    magnitude is the slowest mean-square decay rate, which is the right time
+    scale for covariance simulations.
+    """
+    return float(np.max(np.linalg.eigvals(ms_operator(plant, design, ch)).real))
 
 
 def default_time_step(plant: Plant, design) -> float:
-    """0.01 divided by the closed-loop spectral abscissa magnitude."""
+    """0.01 divided by the closed-loop spectral abscissa magnitude.
+
+    The step sets only the spacing of the simulated samples: the covariance
+    is propagated exactly between them, so the step has no bearing on the
+    accuracy of a sample.
+    """
     alpha = abs(spectral_abscissa(plant.A + plant.B @ design.F))
     return 0.01 / max(alpha, 1e-3)
+
+
+def _sample_grid(t_end: float, dt: float):
+    """Sample times ``0, dt, 2 dt, ...`` accumulated step by step, the last
+    step shortened to end at ``t_end``, decimated to every stride-th sample
+    and the last one so that at most ``MAX_TRAJECTORY_SAMPLES`` remain.
+
+    Returns the kept times and the stride.
+    """
+    times = [0.0]
+    t = 0.0
+    while t < t_end - 1e-12 * t_end:
+        t += min(dt, t_end - t)
+        times.append(t)
+    times = np.asarray(times)
+    nsamp = times.size
+    stride = int(np.ceil(nsamp / MAX_TRAJECTORY_SAMPLES))
+    keep = np.unique(np.concatenate([np.arange(0, nsamp, stride), [nsamp - 1]]))
+    return times[keep], stride
 
 
 def simulate_fading_covariance(
@@ -192,28 +266,58 @@ def simulate_fading_covariance(
     t_end: float = 10.0,
     dt: float | None = None,
 ) -> MatrixTrajectory:
-    """Integrate the state covariance from ``X(0) = x0 x0'``.
+    """State covariance from ``X(0) = x0 x0'`` by exact propagation.
 
-    Fixed-step fourth-order integration with per-step symmetrization; the
-    returned trajectory is decimated to at most ``MAX_TRAJECTORY_SAMPLES``
-    rows. Overflow is reported through ``diverged_at`` rather than raised:
-    divergence is a meaningful verdict for an inadequate design.
+    The samples lie on the grid of step ``dt`` (last step shortened to end
+    at ``t_end``), decimated to at most ``MAX_TRAJECTORY_SAMPLES`` rows.
+    The covariance is propagated in the coordinates Xw = W X W' in which
+    tr(Xw) = tr(P X) is the Lyapunov function of a mean-square stable loop
+    (see :func:`_ms_lyapunov_coordinates`). There the flow is a contraction
+    of the trace norm, so rounding errors do not grow along the transient
+    of a strongly non-normal loop. Xw stays symmetric, so
+    only its upper triangle is propagated, by the restriction Ls of the
+    :func:`ms_operator` in those coordinates to symmetric matrices (an
+    n(n+1)/2 square matrix). Between kept samples the triangle is
+    multiplied by expm(Ls h): one exponential for the uniform stride and
+    one for the final interval, which is shorter in time even when it
+    spans a full stride of grid steps. Overflow is reported through
+    ``diverged_at`` rather than raised: divergence is a meaningful verdict
+    for an inadequate design.
     """
     if dt is None:
         dt = default_time_step(plant, design)
-    rhs = covariance_rhs(plant, design, ch)
-    X0 = np.outer(plant.x0, plant.x0)
-    traj = integrate_linear_matrix_ode(rhs, X0, t_end, dt, raise_on_divergence=False)
-    nsamp = traj.times.size
-    if nsamp > MAX_TRAJECTORY_SAMPLES:
-        stride = int(np.ceil(nsamp / MAX_TRAJECTORY_SAMPLES))
-        keep = np.unique(np.concatenate([np.arange(0, nsamp, stride), [nsamp - 1]]))
-        traj = MatrixTrajectory(
-            times=traj.times[keep],
-            states=traj.states[keep],
-            diverged_at=traj.diverged_at,
-        )
-    return traj
+    if dt <= 0 or t_end <= 0:
+        raise InvalidInput("t_end and dt must be positive")
+    times, stride = _sample_grid(t_end, dt)
+    n = plant.n
+    Acl = plant.A + plant.B @ design.F
+    G, Ccl, s2 = _fading_noise_feedback(plant, design, ch)
+    W, Winv = _ms_lyapunov_coordinates(Acl, G, Ccl, s2)
+    L = _ms_generator(W @ Acl @ Winv, W @ G, Ccl @ Winv, s2)
+    # entry (r, c), r <= c, sits at column-major vec positions a and b
+    r, c = np.triu_indices(n)
+    a, b = r + n * c, c + n * r
+    Ls = L[a][:, a] + L[a][:, b] * (a != b)
+    tri = np.empty((times.size, a.size))
+    tri[0] = (W @ np.outer(plant.x0, plant.x0) @ W.T)[r, c]
+    step = linalg.expm(Ls * (stride * dt))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i in range(1, times.size - 1):
+            np.dot(step, tri[i - 1], out=tri[i])
+        tri[-1] = linalg.expm(Ls * (times[-1] - times[-2])) @ tri[-2]
+        states = np.empty((times.size, n, n))
+        states[:, r, c] = tri
+        states[:, c, r] = tri
+        np.matmul(Winv @ states, Winv.T, out=states)
+        states[:, c, r] = states[:, r, c]
+        bad = ~np.isfinite(states).all(axis=(1, 2))
+        bad |= np.abs(states).max(axis=(1, 2)) > _OVERFLOW_LIMIT
+    if not bad.any():
+        return MatrixTrajectory(times=times, states=states)
+    first = int(np.argmax(bad))
+    return MatrixTrajectory(
+        times=times[:first], states=states[:first], diverged_at=float(times[first])
+    )
 
 
 @dataclass(frozen=True)
@@ -286,6 +390,7 @@ __all__ = [
     "channel_powers_awgn",
     "ms_norm",
     "mixed_norms",
+    "ms_operator",
     "ms_operator_abscissa",
     "covariance_rhs",
     "default_time_step",

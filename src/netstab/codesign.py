@@ -201,7 +201,9 @@ def codesign(
     above the zero-padded block entropy vector. On feasible instances the
     codec scaling is halved from one until the analysis verdict is
     "stabilized" (guaranteed for small enough scaling); pass ``epsilon`` to
-    pin the scaling instead of searching.
+    pin the scaling instead of searching. An "unstable" verdict ends the
+    search at once, since the gain, and with it A + BF, does not depend on
+    the scaling.
     """
     val = validate_plant(plant)
     if not val.stabilizable:
@@ -259,6 +261,12 @@ def codesign(
                 report=rep,
                 epsilon_trail=tuple(trail),
                 note=note,
+            )
+        if rep.verdict == analysis.VERDICT_UNSTABLE:
+            abscissa = float(np.max(rep.closed_loop_spectrum.real))
+            raise EpsilonExhausted(
+                f"A+BF is not Hurwitz (spectral abscissa {abscissa:.6g}) at "
+                f"every codec scaling; trail: {trail}"
             )
     raise EpsilonExhausted(
         "no codec scaling verified "

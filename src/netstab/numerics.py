@@ -242,8 +242,9 @@ class MatrixTrajectory:
     """Sampled solution of a matrix ODE.
 
     ``states[i]`` is the (symmetrized) matrix at ``times[i]``. When the
-    integration overflowed, ``diverged_at`` holds the first divergence time
-    and the trajectory ends at the last finite sample.
+    solution overflowed, ``diverged_at`` holds the time of the first sample
+    past the overflow limit (non-finite, or an entry above 1e150) and the
+    trajectory ends at the last sample before it.
     """
 
     times: np.ndarray

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -9,17 +11,29 @@ from netstab.analysis import (
     analyze,
     channel_powers_awgn,
     closed_loop,
+    covariance_rhs,
+    default_time_step,
     h2_gramian_entrywise,
     h2_norm_squared,
     mixed_norms,
     ms_norm,
+    ms_operator,
     ms_operator_abscissa,
     simulate_fading_covariance,
 )
+from netstab.cli import main
 from netstab.codesign import CoDesign, codesign, synthesize_codec
 from netstab.errors import NotHurwitz
-from netstab.numerics import solve_care_stabilizing, spectral_radius
+from netstab.numerics import (
+    integrate_linear_matrix_ode,
+    solve_care_stabilizing,
+    spectral_radius,
+)
 from netstab.plantmodel import ChannelEnsemble, Plant
+
+FADING_FILE = os.path.join(
+    os.path.dirname(__file__), os.pardir, "problems", "demo_fading.yaml"
+)
 
 
 def scalar_entry_system(gains, poles):
@@ -215,11 +229,82 @@ class TestCovarianceSimulation:
 
     def test_trajectory_is_decimated(self, bench_plant, bench_fading):
         res = codesign(bench_plant, bench_fading)
+        t_end, dt = 150.0, 0.01
         traj = simulate_fading_covariance(
-            bench_plant, res.design, bench_fading, t_end=150.0, dt=0.01
+            bench_plant, res.design, bench_fading, t_end=t_end, dt=dt
         )
         assert traj.times.size <= 10_000
-        assert traj.times[-1] == pytest.approx(150.0)
+        assert traj.times[-1] == pytest.approx(t_end)
+        # the fixed-step grid: steps of dt accumulated, the last one
+        # shortened to end at t_end, then every stride-th sample and the last
+        grid = [0.0]
+        while grid[-1] < t_end - 1e-12 * t_end:
+            grid.append(grid[-1] + min(dt, t_end - grid[-1]))
+        stride = int(np.ceil(len(grid) / 10_000))
+        assert stride > 1
+        expected = grid[::stride] + ([grid[-1]] if (len(grid) - 1) % stride else [])
+        np.testing.assert_array_equal(traj.times, expected)
+
+    def test_coarse_step_at_horizon_stays_exact(self, bench_plant, bench_fading, tmp_path):
+        # dt sets only the sample spacing: a step of 0.5 on the criterion-03
+        # horizon must neither lose accuracy nor report divergence
+        res = codesign(bench_plant, bench_fading)
+        L = ms_operator(bench_plant, res.design, bench_fading)
+        alpha = ms_operator_abscissa(bench_plant, res.design, bench_fading)
+        t_end = float(np.log(1e5) / abs(alpha))
+        traj = simulate_fading_covariance(
+            bench_plant, res.design, bench_fading, t_end=t_end, dt=0.5
+        )
+        assert not traj.diverged
+        assert traj.times.size == 610
+        v0 = np.outer(bench_plant.x0, bench_plant.x0).ravel(order="F")
+        for t, X in zip(traj.times, traj.states):
+            ref = linalg.expm(L * t) @ v0
+            assert np.linalg.norm(X.ravel(order="F") - ref) <= 1e-8 * np.linalg.norm(ref)
+        out = tmp_path / "traj.json"
+        argv = ["simulate", FADING_FILE, "--t-end", repr(t_end), "--dt", "0.5",
+                "--format", "machine", "--out", str(out)]
+        assert main(argv) == 0
+
+    def test_strongly_nonnormal_design_matches_rk4(self):
+        # codesign accepts this design (ms_norm 0.71), but the covariance
+        # rises from 24 to 6.8e9 by t = 10 and falls to 4.6e4 by t = 30.
+        # Propagated in the original coordinates, the rounding error of expm
+        # grows along that transient: 3-9% off at t = 20, 32x at t = 30
+        # with the triangle alone.
+        # RK4 at dt/4 and dt/16 agree to 4e-5 up to t = 20 and to 1.5e-2
+        # at t = 30.
+        n, k = 24, 6
+        rng = np.random.default_rng((0, n))
+        S, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        A = S @ np.diag(np.kron([2.0, 1.0, -1.0, -2.0], np.ones(k))) @ S.T
+        plant = Plant(A=0.5 * (A + A.T), B=rng.normal(size=(n, k)), x0=np.ones(n))
+        ch = ChannelEnsemble(kind="fading", mean=np.ones(k), variance=np.full(k, 1 / 12))
+        design = codesign(plant, ch).design
+        dt = default_time_step(plant, design)
+        traj = simulate_fading_covariance(plant, design, ch, t_end=30.0)
+        ref = integrate_linear_matrix_ode(
+            covariance_rhs(plant, design, ch), np.outer(plant.x0, plant.x0), 30.0, dt / 4
+        )
+        for t, tol in ((10.0, 1e-3), (20.0, 1e-3), (30.0, 5e-2)):
+            i = int(np.argmin(abs(traj.times - t)))
+            R = ref.states[int(np.argmin(abs(ref.times - traj.times[i])))]
+            assert np.linalg.norm(traj.states[i] - R) <= tol * np.linalg.norm(R)
+            assert np.linalg.eigvalsh(traj.states[i])[0] >= -1e-12 * np.linalg.norm(R)
+
+
+class TestMeanSquareOperator:
+    def test_operator_applies_the_covariance_rhs(self, bench_plant, bench_fading):
+        design = codesign(bench_plant, bench_fading).design
+        L = ms_operator(bench_plant, design, bench_fading)
+        rhs = covariance_rhs(bench_plant, design, bench_fading)
+        rng = np.random.default_rng(5)
+        for _ in range(5):
+            M = rng.normal(size=(4, 4))
+            X = M + M.T
+            expected = rhs(X).ravel(order="F")
+            got = L @ X.ravel(order="F")
+            assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
 
 
 class TestAnalyze:

@@ -1,8 +1,11 @@
+import importlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
 from conftest import F_BENCH, U_BENCH_AWGN, U_BENCH_FADING, nearest_isometry
+from netstab import analysis
 from netstab.analysis import analyze, channel_powers_awgn
 from netstab.codesign import (
     CoDesign,
@@ -115,6 +118,22 @@ class TestCoDesignPipeline:
     def test_epsilon_override_too_large(self, bench_plant, bench_awgn):
         with pytest.raises(EpsilonExhausted):
             codesign(bench_plant, bench_awgn, epsilon=1.0)
+
+    def test_unstable_gain_ends_the_search(self, bench_plant, bench_awgn, monkeypatch):
+        # A + BF does not depend on epsilon: one "unstable" verdict settles it
+        calls = []
+
+        def counting_analyze(*args):
+            calls.append(args)
+            return analyze(*args)
+
+        # the package exports the function codesign under the module's name
+        module = importlib.import_module("netstab.codesign")
+        monkeypatch.setattr(module, "synthesize_gain", lambda d: np.zeros((2, 4)))
+        monkeypatch.setattr(analysis, "analyze", counting_analyze)
+        with pytest.raises(EpsilonExhausted, match=r"spectral abscissa 4\b"):
+            codesign(bench_plant, bench_awgn)
+        assert len(calls) == 1
 
     def test_epsilon_halving_keeps_passing(self, bench_plant, bench_awgn):
         # once a scaling passes, further halving keeps the verdict
