@@ -44,8 +44,6 @@ from .majorize import (
     schur_horn_isometry,
 )
 from .numerics import (
-    Spectrum,
-    eigendecompose,
     integrate_linear_matrix_ode,
     solve_care_stabilizing,
     solve_lyapunov,

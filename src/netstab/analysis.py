@@ -247,12 +247,16 @@ def _sample_grid(t_end: float, dt: float):
 
     Returns the kept times and the stride.
     """
-    times = [0.0]
-    t = 0.0
-    while t < t_end - 1e-12 * t_end:
-        t += min(dt, t_end - t)
-        times.append(t)
-    times = np.asarray(times)
+    thr = t_end - 1e-12 * t_end
+    # cumsum adds dt one step at a time, so its sums equal the accumulated
+    # times bit for bit; the grid runs full steps while t < thr and a full
+    # step still fits, then at most one shortened step lands on t_end
+    steps = np.full(int(np.ceil(t_end / dt)) + 1, dt)
+    full = np.concatenate([[0.0], np.cumsum(steps)])
+    stop = int(np.argmin((full < thr) & (dt <= t_end - full)))
+    times = full[: stop + 1]
+    if times[-1] < thr:
+        times = np.append(times, times[-1] + (t_end - times[-1]))
     nsamp = times.size
     stride = int(np.ceil(nsamp / MAX_TRAJECTORY_SAMPLES))
     keep = np.unique(np.concatenate([np.arange(0, nsamp, stride), [nsamp - 1]]))

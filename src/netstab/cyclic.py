@@ -24,7 +24,6 @@ from scipy import linalg
 
 from .errors import (
     DecompositionFailed,
-    InvalidInput,
     NotDiagonalizable,
     Unstabilizable,
 )

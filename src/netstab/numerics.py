@@ -9,7 +9,7 @@ Hamiltonian matrix with an ordered real Schur decomposition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import linalg
@@ -40,57 +40,6 @@ def _as_square(A, name="matrix"):
 def eig_cluster_tolerance(A):
     """Clustering tolerance tau_eig = 1e-8 * max(1, ||A||_F)."""
     return 1e-8 * max(1.0, float(np.linalg.norm(A)))
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues of a real matrix with multiplicity clustering.
-
-    Attributes
-    ----------
-    eigenvalues : complex ndarray, shape (n,)
-    multiplicity_clusters : tuple of tuples of int
-        Partition of eigenvalue indices; indices in one group are equal
-        within the clustering tolerance.
-    basis : complex ndarray, shape (n, n)
-        Eigenvector matrix as returned by the dense eigensolver.
-    """
-
-    eigenvalues: np.ndarray
-    multiplicity_clusters: tuple
-    basis: np.ndarray
-
-    def cluster_values(self):
-        """Representative value (mean) of each cluster."""
-        return [complex(np.mean(self.eigenvalues[list(g)])) for g in self.multiplicity_clusters]
-
-
-def eigendecompose(A) -> Spectrum:
-    """Eigendecomposition with eigenvalues grouped into multiplicity clusters.
-
-    Two eigenvalues belong to the same cluster when their distance is at most
-    ``tau_eig = 1e-8 * max(1, ||A||_F)`` (transitively chained).
-    """
-    A = _as_square(A, "A")
-    evals, evecs = np.linalg.eig(A)
-    tau = eig_cluster_tolerance(A)
-    clusters: list[list[int]] = []
-    reps: list[complex] = []
-    # deterministic scan order: descending real part, then descending imag
-    order = sorted(range(evals.size), key=lambda i: (-evals[i].real, -evals[i].imag))
-    for i in order:
-        lam = evals[i]
-        for g, rep in zip(clusters, reps):
-            if abs(lam - rep) <= tau:
-                g.append(i)
-                break
-        else:
-            clusters.append([i])
-            reps.append(lam)
-    # refresh representatives to cluster means (single pass is enough at
-    # the tolerances involved)
-    groups = tuple(tuple(g) for g in clusters)
-    return Spectrum(eigenvalues=evals, multiplicity_clusters=groups, basis=evecs)
 
 
 def spectral_abscissa(A) -> float:
@@ -154,20 +103,27 @@ def solve_lyapunov(Acl, Q) -> np.ndarray:
     return L
 
 
-def stabilizable_pbh(A, B, rank_tol=1e-8) -> bool:
-    """PBH stabilizability test: rank [A - lambda I, B] = n at every
-    eigenvalue with Re(lambda) >= -TAU_AXIS."""
+def pbh_failures(A, B, rank_tol=1e-8) -> tuple:
+    """Eigenvalues with Re(lambda) >= -TAU_AXIS at which the PBH rank test
+    fails, i.e. rank [A - lambda I, B] < n (relative to ``rank_tol``)."""
     A = _as_square(A, "A")
     B = np.asarray(B, dtype=float)
     n = A.shape[0]
+    failures = []
     for lam in np.linalg.eigvals(A):
         if lam.real < -TAU_AXIS:
             continue
         pencil = np.hstack([A - lam * np.eye(n), B.astype(complex)])
         sv = np.linalg.svd(pencil, compute_uv=False)
         if sv[-1] <= rank_tol * sv[0]:
-            return False
-    return True
+            failures.append(complex(lam))
+    return tuple(failures)
+
+
+def stabilizable_pbh(A, B, rank_tol=1e-8) -> bool:
+    """PBH stabilizability test: rank [A - lambda I, B] = n at every
+    eigenvalue with Re(lambda) >= -TAU_AXIS."""
+    return not pbh_failures(A, B, rank_tol)
 
 
 def solve_care_stabilizing(A, B) -> np.ndarray:

@@ -3,12 +3,12 @@
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AxisEigenvalueWarning, InvalidInput
-from .numerics import TAU_AXIS, _as_square, stabilizable_pbh
+from .numerics import TAU_AXIS, _as_square, pbh_failures, stabilizable_pbh
 
 AWGN = "awgn"
 FADING = "fading"
@@ -170,18 +170,10 @@ class PlantValidation:
 
 def validate_plant(plant: Plant, rank_tol=1e-8) -> PlantValidation:
     """PBH stabilizability check plus axis/instability diagnostics."""
-    A, B = plant.A, plant.B
-    n = plant.n
+    A = plant.A
     evals = np.linalg.eigvals(A)
     has_axis = bool(np.any(np.abs(evals.real) < TAU_AXIS))
-    failures = []
-    for lam in evals:
-        if lam.real < -TAU_AXIS:
-            continue
-        pencil = np.hstack([A - lam * np.eye(n), B.astype(complex)])
-        sv = np.linalg.svd(pencil, compute_uv=False)
-        if sv[-1] <= rank_tol * sv[0]:
-            failures.append(complex(lam))
+    failures = pbh_failures(A, plant.B, rank_tol)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", AxisEigenvalueWarning)
         entropy = topological_entropy(A)
@@ -191,7 +183,7 @@ def validate_plant(plant: Plant, rank_tol=1e-8) -> PlantValidation:
         has_axis_eigenvalues=has_axis,
         entropy=entropy,
         eigenvalues=evals,
-        pbh_failures=tuple(failures),
+        pbh_failures=failures,
     )
 
 

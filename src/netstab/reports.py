@@ -4,11 +4,26 @@ Three formats: ``human`` (aligned text), ``machine`` (one self-describing
 JSON document per report type, schema-tagged and byte-deterministic), and
 ``table`` (comma-separated trajectory rows at full precision). Machine
 documents round-trip losslessly through :func:`parse_machine`.
+
+This module is the one definition of the machine format. A document is
+``{"schema": "netstab/<name>/v1", "payload": {...}}`` with ``<name>`` from
+``_SCHEMAS``; the payload has one key per dataclass field, nested reports
+as nested objects. Arrays are nested lists of floats, ``null`` stands for
+an absent optional, and tuples travel as lists. Two forms are irregular:
+the complex vectors ``eigenvalues``, ``pbh_failures`` and
+``closed_loop_spectrum`` travel as lists of ``[re, im]`` pairs, even when
+every value is real, and ``blocks`` travels as a list of ``{"A", "b"}``
+objects. Keys are sorted and the separators carry no spaces, so equal
+reports give equal bytes.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import json
+import types
+import typing
 
 import numpy as np
 
@@ -26,215 +41,78 @@ TABLE = "table"
 
 _SCHEMA_PREFIX = "netstab"
 
+#: Report type of each schema name ``netstab/<name>/v1``.
+_SCHEMAS = {
+    "plant-validation": PlantValidation,
+    "decomposition": CyclicDecomposition,
+    "order-verdict": OrderVerdict,
+    "design": CoDesign,
+    "codesign-result": CoDesignResult,
+    "analysis": AnalysisReport,
+    "trajectory": MatrixTrajectory,
+}
 
-def _real(a):
-    return np.asarray(a, dtype=float).tolist()
+_REPORT_TYPES = tuple(_SCHEMAS.values())
 
-
-def _complex_list(a):
-    return [[float(z.real), float(z.imag)] for z in np.asarray(a).ravel()]
-
-
-def _from_complex(pairs):
-    return np.array([complex(re, im) for re, im in pairs])
-
-
-def _opt(a, conv=_real):
-    return None if a is None else conv(a)
-
-
-# ---------------------------------------------------------------------------
-# machine payloads
+#: Fields that travel as ``[re, im]`` pairs.
+_COMPLEX_FIELDS = {"eigenvalues", "pbh_failures", "closed_loop_spectrum"}
 
 
-def _payload_validation(r: PlantValidation):
-    return {
-        "stabilizable": r.stabilizable,
-        "unstable": r.unstable,
-        "has_axis_eigenvalues": r.has_axis_eigenvalues,
-        "entropy": float(r.entropy),
-        "eigenvalues": _complex_list(r.eigenvalues),
-        "pbh_failures": _complex_list(np.asarray(r.pbh_failures, dtype=complex)),
-    }
+@functools.cache
+def _fields(cls):
+    """``(name, declared type)`` of each field of a report dataclass."""
+    hints = typing.get_type_hints(cls)
+    return tuple((f.name, hints[f.name]) for f in dataclasses.fields(cls))
 
 
-def _build_validation(p):
-    return PlantValidation(
-        stabilizable=p["stabilizable"],
-        unstable=p["unstable"],
-        has_axis_eigenvalues=p["has_axis_eigenvalues"],
-        entropy=p["entropy"],
-        eigenvalues=_from_complex(p["eigenvalues"]),
-        pbh_failures=tuple(_from_complex(p["pbh_failures"])),
-    )
+def _encode(name, value):
+    """JSON form of one field value, driven by the value itself."""
+    if name in _COMPLEX_FIELDS:
+        z = np.asarray(value, dtype=complex).ravel()
+        return np.stack([z.real, z.imag], axis=-1).tolist()
+    if isinstance(value, np.ndarray):
+        return np.asarray(value, dtype=float).tolist()
+    if name == "blocks":
+        return [{"A": _encode("A", Ai), "b": _encode("b", bi)} for Ai, bi in value]
+    if isinstance(value, (tuple, list)):
+        return [_encode(name, v) for v in value]
+    if isinstance(value, np.generic):
+        return value.item()
+    if isinstance(value, _REPORT_TYPES):
+        return {f: _encode(f, getattr(value, f)) for f, _ in _fields(type(value))}
+    return value
 
 
-def _payload_decomposition(d: CyclicDecomposition):
-    return {
-        "P": _real(d.P),
-        "Q": _real(d.Q),
-        "blocks": [{"A": _real(Ai), "b": _real(bi)} for Ai, bi in d.blocks],
-        "k": int(d.k),
-        "h": _real(d.h),
-        "seed": int(d.seed),
-    }
+def _tuples(value):
+    """Nested lists become tuples, as in ``epsilon_trail``."""
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
 
 
-def _build_decomposition(p):
-    return CyclicDecomposition(
-        P=np.asarray(p["P"], dtype=float),
-        Q=np.asarray(p["Q"], dtype=float),
-        blocks=tuple(
+def _decode(tp, name, value):
+    """Field value rebuilt from its JSON form, driven by the declared type."""
+    if value is None:
+        return None
+    if isinstance(tp, types.UnionType):
+        (tp,) = [t for t in typing.get_args(tp) if t is not type(None)]
+    if tp in _REPORT_TYPES:
+        return tp(**{f: _decode(t, f, value[f]) for f, t in _fields(tp)})
+    if name in _COMPLEX_FIELDS:
+        z = np.asarray(value, dtype=float).reshape(-1, 2).view(complex).ravel()
+        return tuple(z.tolist()) if tp is tuple else z
+    if name == "blocks":
+        return tuple(
             (np.asarray(b["A"], dtype=float), np.asarray(b["b"], dtype=float))
-            for b in p["blocks"]
-        ),
-        k=int(p["k"]),
-        h=np.asarray(p["h"], dtype=float),
-        seed=int(p["seed"]),
-    )
-
-
-def _payload_order(v: OrderVerdict):
-    return {
-        "relation": v.relation,
-        "holds": v.holds,
-        "slack": _real(v.slack),
-        "x_prefix": _real(v.x_prefix),
-        "y_prefix": _real(v.y_prefix),
-        "ascending": v.ascending,
-    }
-
-
-def _build_order(p):
-    return OrderVerdict(
-        relation=p["relation"],
-        holds=p["holds"],
-        slack=np.asarray(p["slack"], dtype=float),
-        x_prefix=np.asarray(p["x_prefix"], dtype=float),
-        y_prefix=np.asarray(p["y_prefix"], dtype=float),
-        ascending=p["ascending"],
-    )
-
-
-def _payload_design(d: CoDesign):
-    return {
-        "kind": d.kind,
-        "F": _real(d.F),
-        "T": _real(d.T),
-        "R": _real(d.R),
-        "epsilon": float(d.epsilon),
-        "gamma": _real(d.gamma),
-        "U": _real(d.U),
-        "mean": _opt(d.mean),
-        "m_active": int(d.m_active),
-        "note": d.note,
-    }
-
-
-def _build_design(p):
-    return CoDesign(
-        kind=p["kind"],
-        F=np.asarray(p["F"], dtype=float),
-        T=np.asarray(p["T"], dtype=float),
-        R=np.asarray(p["R"], dtype=float),
-        epsilon=p["epsilon"],
-        gamma=np.asarray(p["gamma"], dtype=float),
-        U=np.asarray(p["U"], dtype=float),
-        mean=None if p["mean"] is None else np.asarray(p["mean"], dtype=float),
-        m_active=p["m_active"],
-        note=p["note"],
-    )
-
-
-def _payload_analysis(r: AnalysisReport):
-    return {
-        "verdict": r.verdict,
-        "kind": r.kind,
-        "closed_loop_spectrum": _complex_list(r.closed_loop_spectrum),
-        "margins": _real(r.margins),
-        "channel_powers": _opt(r.channel_powers),
-        "ms_norm": _opt(r.ms_norm),
-    }
-
-
-def _build_analysis(p):
-    return AnalysisReport(
-        verdict=p["verdict"],
-        kind=p["kind"],
-        closed_loop_spectrum=_from_complex(p["closed_loop_spectrum"]),
-        margins=np.asarray(p["margins"], dtype=float),
-        channel_powers=None
-        if p["channel_powers"] is None
-        else np.asarray(p["channel_powers"], dtype=float),
-        ms_norm=None if p["ms_norm"] is None else np.asarray(p["ms_norm"], dtype=float),
-    )
-
-
-def _payload_result(r: CoDesignResult):
-    return {
-        "feasible": r.feasible,
-        "order": _payload_order(r.order),
-        "decomposition": _payload_decomposition(r.decomposition),
-        "design": None if r.design is None else _payload_design(r.design),
-        "report": None if r.report is None else _payload_analysis(r.report),
-        "epsilon_trail": [[float(e), v] for e, v in r.epsilon_trail],
-        "note": r.note,
-    }
-
-
-def _build_result(p):
-    return CoDesignResult(
-        feasible=p["feasible"],
-        order=_build_order(p["order"]),
-        decomposition=_build_decomposition(p["decomposition"]),
-        design=None if p["design"] is None else _build_design(p["design"]),
-        report=None if p["report"] is None else _build_analysis(p["report"]),
-        epsilon_trail=tuple((e, v) for e, v in p["epsilon_trail"]),
-        note=p["note"],
-    )
-
-
-def _payload_trajectory(t: MatrixTrajectory):
-    return {
-        "times": _real(t.times),
-        "states": _real(t.states),
-        "diverged_at": None if t.diverged_at is None else float(t.diverged_at),
-    }
-
-
-def _build_trajectory(p):
-    return MatrixTrajectory(
-        times=np.asarray(p["times"], dtype=float),
-        states=np.asarray(p["states"], dtype=float),
-        diverged_at=p["diverged_at"],
-    )
-
-
-_MACHINE_CODECS = {
-    PlantValidation: ("plant-validation", _payload_validation),
-    CyclicDecomposition: ("decomposition", _payload_decomposition),
-    OrderVerdict: ("order-verdict", _payload_order),
-    CoDesign: ("design", _payload_design),
-    CoDesignResult: ("codesign-result", _payload_result),
-    AnalysisReport: ("analysis", _payload_analysis),
-    MatrixTrajectory: ("trajectory", _payload_trajectory),
-}
-
-_MACHINE_BUILDERS = {
-    "plant-validation": _build_validation,
-    "decomposition": _build_decomposition,
-    "order-verdict": _build_order,
-    "design": _build_design,
-    "codesign-result": _build_result,
-    "analysis": _build_analysis,
-    "trajectory": _build_trajectory,
-}
+            for b in value
+        )
+    if tp is np.ndarray:
+        return np.asarray(value, dtype=float)
+    return _tuples(value)
 
 
 def emit_machine(obj) -> str:
-    for cls, (name, payload) in _MACHINE_CODECS.items():
+    for name, cls in _SCHEMAS.items():
         if isinstance(obj, cls):
-            doc = {"schema": f"{_SCHEMA_PREFIX}/{name}/v1", "payload": payload(obj)}
+            doc = {"schema": f"{_SCHEMA_PREFIX}/{name}/v1", "payload": _encode(name, obj)}
             return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
     raise InvalidInput(f"no machine form for {type(obj).__name__}")
 
@@ -247,12 +125,10 @@ def parse_machine(text: str):
         raise ParseError(f"invalid machine document: {exc}") from None
     schema = doc.get("schema", "")
     parts = schema.split("/")
-    if len(parts) != 3 or parts[0] != _SCHEMA_PREFIX or parts[2] != "v1":
+    if (len(parts) != 3 or parts[0] != _SCHEMA_PREFIX or parts[2] != "v1"
+            or parts[1] not in _SCHEMAS):
         raise ParseError(f"unsupported schema {schema!r}")
-    builder = _MACHINE_BUILDERS.get(parts[1])
-    if builder is None:
-        raise ParseError(f"unsupported schema {schema!r}")
-    return builder(doc["payload"])
+    return _decode(_SCHEMAS[parts[1]], parts[1], doc["payload"])
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ import os
 import time
 
 import numpy as np
-import pytest
 from numpy.testing import assert_allclose
 
 from conftest import F_BENCH, U_BENCH_AWGN, U_BENCH_FADING
@@ -17,7 +16,6 @@ from test_cyclic import random_diagonalizable
 from netstab.analysis import (
     StateSpace,
     analyze,
-    closed_loop,
     h2_gramian_entrywise,
     h2_norm_squared,
     mixed_norms,
@@ -28,7 +26,6 @@ from netstab.analysis import (
 from netstab.cli import main as cli_main
 from netstab.codesign import check_corollaries, codesign, synthesize_gain
 from netstab.cyclic import cyclic_decompose
-from netstab.errors import NetstabError
 from netstab.majorize import (
     STRICT_WEAK_ABOVE,
     brute_force_feasible_gamma,

@@ -8,6 +8,7 @@ from scipy import linalg
 from conftest import U_BENCH_FADING, nearest_isometry
 from netstab.analysis import (
     StateSpace,
+    _sample_grid,
     analyze,
     channel_powers_awgn,
     closed_loop,
@@ -191,6 +192,44 @@ class TestMixedNorms:
             assert mixed_norms(scaled)[1] == pytest.approx(ms, abs=1e-6)
 
 
+def stepped_grid(t_end, dt):
+    """Reference sample grid, built step by step: steps of dt accumulated,
+    the last one shortened to end at t_end, then every stride-th sample and
+    the last one, at most 10 000 in all."""
+    grid = [0.0]
+    while grid[-1] < t_end - 1e-12 * t_end:
+        grid.append(grid[-1] + min(dt, t_end - grid[-1]))
+    stride = int(np.ceil(len(grid) / 10_000))
+    tail = [grid[-1]] if (len(grid) - 1) % stride else []
+    return np.array(grid[::stride] + tail), stride
+
+
+class TestSampleGrid:
+    def check(self, t_end, dt):
+        times, stride = _sample_grid(t_end, dt)
+        expected, expected_stride = stepped_grid(t_end, dt)
+        assert stride == expected_stride
+        assert np.array_equal(times, expected)
+
+    def test_demo_horizon(self, bench_plant, bench_fading):
+        res = codesign(bench_plant, bench_fading)
+        alpha = ms_operator_abscissa(bench_plant, res.design, bench_fading)
+        t_end = float(np.log(1e5) / abs(alpha))
+        self.check(t_end, default_time_step(bench_plant, res.design))
+        self.check(t_end, 0.5)
+
+    def test_random_horizons_and_steps(self):
+        rng = np.random.default_rng(7)
+        for _ in range(200):
+            self.check(float(rng.uniform(0.01, 400.0)), float(10 ** rng.uniform(-3, 1)))
+
+    def test_exact_multiples_and_single_step(self):
+        for k in range(1, 40):
+            for dt in (0.1, 0.3, 1 / 3):
+                self.check(k * dt, dt)
+        self.check(1.0, 2.0)
+
+
 class TestCovarianceSimulation:
     def test_benchmark_fading_decays(self, bench_plant, bench_fading):
         res = codesign(bench_plant, bench_fading)
@@ -235,14 +274,8 @@ class TestCovarianceSimulation:
         )
         assert traj.times.size <= 10_000
         assert traj.times[-1] == pytest.approx(t_end)
-        # the fixed-step grid: steps of dt accumulated, the last one
-        # shortened to end at t_end, then every stride-th sample and the last
-        grid = [0.0]
-        while grid[-1] < t_end - 1e-12 * t_end:
-            grid.append(grid[-1] + min(dt, t_end - grid[-1]))
-        stride = int(np.ceil(len(grid) / 10_000))
+        expected, stride = stepped_grid(t_end, dt)
         assert stride > 1
-        expected = grid[::stride] + ([grid[-1]] if (len(grid) - 1) % stride else [])
         np.testing.assert_array_equal(traj.times, expected)
 
     def test_coarse_step_at_horizon_stays_exact(self, bench_plant, bench_fading, tmp_path):

@@ -11,50 +11,11 @@ from netstab.errors import (
     Unstabilizable,
 )
 from netstab.numerics import (
-    eigendecompose,
     integrate_linear_matrix_ode,
     solve_care_stabilizing,
     solve_lyapunov,
     spectral_radius,
 )
-
-
-class TestEigendecompose:
-    def test_repeated_eigenvalues_cluster(self):
-        spec = eigendecompose(np.diag([4.0, 2.0, 1.0, 1.0]))
-        assert_allclose(sorted(spec.eigenvalues.real), [1, 1, 2, 4])
-        sizes = sorted(len(g) for g in spec.multiplicity_clusters)
-        assert sizes == [1, 1, 2]
-        pair = max(spec.multiplicity_clusters, key=len)
-        assert_allclose(spec.eigenvalues[list(pair)].real, [1.0, 1.0])
-
-    def test_scalar_zero(self):
-        spec = eigendecompose(np.array([[0.0]]))
-        assert_allclose(spec.eigenvalues, [0.0])
-        assert spec.multiplicity_clusters == ((0,),)
-
-    def test_rotation_conjugate_pair(self):
-        A = np.array([[0.0, 1.0], [-1.0, 0.0]])
-        spec = eigendecompose(A)
-        assert_allclose(sorted(spec.eigenvalues.imag), [-1, 1])
-        assert_allclose(spec.eigenvalues.real, [0, 0], atol=1e-12)
-        resid = np.linalg.norm(
-            A @ spec.basis - spec.basis @ np.diag(spec.eigenvalues)
-        )
-        assert resid <= 1e-8 * np.linalg.norm(A)
-
-    def test_conjugate_pairing_random(self):
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            A = rng.normal(size=(5, 5))
-            ev = eigendecompose(A).eigenvalues
-            assert_allclose(
-                np.sort_complex(ev), np.sort_complex(np.conj(ev)), atol=1e-9
-            )
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(InvalidInput):
-            eigendecompose(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
 class TestLyapunov:

@@ -7,6 +7,7 @@ from netstab.plantmodel import (
     ChannelEnsemble,
     Plant,
     capacities,
+    stabilizable_pbh,
     topological_entropy,
     total_capacity,
     validate_plant,
@@ -124,6 +125,10 @@ class TestValidatePlant:
         assert not report.stabilizable
         assert report.pbh_failures
         assert report.pbh_failures[0] == pytest.approx(1.0)
+        # mode 2 is unreachable and unstable, mode -3 unreachable but stable
+        plant = Plant(A=np.diag([1.0, 2.0, -3.0]), B=np.array([[1.0], [0.0], [0.0]]))
+        assert validate_plant(plant).pbh_failures == (2 + 0j,)
+        assert not stabilizable_pbh(plant.A, plant.B)
 
     def test_stable_plant(self):
         report = validate_plant(Plant(A=np.array([[-1.0]]), B=np.array([[1.0]])))

@@ -1,9 +1,11 @@
+import dataclasses
 import os
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from netstab import ChannelEnsemble, Plant
 from netstab.analysis import analyze, simulate_fading_covariance
 from netstab.cli import main
 from netstab.codesign import codesign
@@ -19,22 +21,58 @@ FADING_FILE = os.path.join(PROBLEMS, "demo_fading.yaml")
 
 @pytest.fixture
 def all_reports(bench_plant, bench_awgn, bench_fading):
+    """Every report type, and every optional or irregular wire form of each."""
     res = codesign(bench_plant, bench_awgn)
+    fading = codesign(bench_plant, bench_fading).design
+    weak = ChannelEnsemble(kind="awgn", power=[1, 1, 1], noise_density=[1, 1, 1])
     d = cyclic_decompose(bench_plant)
     c_pad, h_pad = pad_to_match(capacities(bench_awgn), d.h)
-    traj = simulate_fading_covariance(
-        bench_plant, codesign(bench_plant, bench_fading).design, bench_fading,
-        t_end=0.1,
+    traj = simulate_fading_covariance(bench_plant, fading, bench_fading, t_end=0.1)
+    open_loop = dataclasses.replace(fading, F=np.zeros_like(fading.F))
+    diverged = simulate_fading_covariance(
+        bench_plant, open_loop, bench_fading, t_end=60.0, dt=0.5
     )
+    unstabilizable = validate_plant(Plant(A=np.diag([1.0, 2.0]), B=[[1.0], [0.0]]))
+    infeasible = codesign(bench_plant, weak)
+    fading_report = analyze(bench_plant, fading, bench_fading)
+    assert unstabilizable.pbh_failures and fading.mean is not None
+    assert infeasible.design is None and infeasible.report is None
+    assert fading_report.ms_norm is not None and fading_report.channel_powers is None
+    assert diverged.diverged
     return [
         validate_plant(bench_plant),
+        unstabilizable,
         d,
         check_order(c_pad, h_pad, STRICT_WEAK_ABOVE),
         res.design,
+        fading,
         res,
+        infeasible,
         analyze(bench_plant, res.design, bench_awgn),
+        fading_report,
         traj,
+        diverged,
     ]
+
+
+def assert_same_kinds(obj, rebuilt):
+    """Field by field: equal values, and the kind of each value is kept."""
+    for f in dataclasses.fields(obj):
+        a, b = getattr(obj, f.name), getattr(rebuilt, f.name)
+        if dataclasses.is_dataclass(a):
+            assert_same_kinds(a, b)
+        elif f.name in ("eigenvalues", "closed_loop_spectrum"):
+            assert b.dtype == complex and np.array_equal(a, b)
+        elif f.name == "blocks":
+            for (Ai, bi), (Aj, bj) in zip(a, b, strict=True):
+                assert Aj.dtype == float and np.array_equal(Ai, Aj)
+                assert bj.dtype == float and np.array_equal(bi, bj)
+        elif isinstance(a, np.ndarray):
+            assert b.dtype == float and np.array_equal(a, b)
+        else:
+            assert type(b) is type(a) and b == a
+            if f.name == "pbh_failures":
+                assert all(type(z) is complex for z in b)
 
 
 class TestMachineRoundTrip:
@@ -43,6 +81,8 @@ class TestMachineRoundTrip:
             doc = emit_machine(obj)
             rebuilt = parse_machine(doc)
             assert emit_machine(rebuilt) == doc
+            assert type(rebuilt) is type(obj)
+            assert_same_kinds(obj, rebuilt)
 
     def test_emission_is_deterministic(self, all_reports):
         for obj in all_reports:
