@@ -19,6 +19,7 @@ from .cyclic import CyclicDecomposition, cyclic_decompose
 from .errors import (
     CodecInvalid,
     EpsilonExhausted,
+    IllConditioned,
     InvalidInput,
     NetstabError,
     Unstabilizable,
@@ -110,7 +111,8 @@ def synthesize_gain(d: CyclicDecomposition) -> np.ndarray:
     the stabilizing solution of the zero-state-weight Riccati equation; the
     block-diagonal gain is padded with zero rows for unused inputs and
     mapped back through the decomposition transformations. Each block's
-    noise-to-input energy is verified to equal twice its entropy.
+    noise-to-input energy is verified to equal twice its entropy. An
+    ``IllConditioned`` error from a block's Riccati solve names the block.
     """
     m = d.Q.shape[0]
     n = d.P.shape[0]
@@ -118,7 +120,10 @@ def synthesize_gain(d: CyclicDecomposition) -> np.ndarray:
     F_bar = np.zeros((m, n))
     for j, (Aj, bj) in enumerate(d.blocks):
         bj = bj.reshape(-1, 1)
-        X = solve_care_stabilizing(Aj, bj)
+        try:
+            X = solve_care_stabilizing(Aj, bj)
+        except IllConditioned as exc:
+            raise IllConditioned(exc.stage, exc.cond, exc.detail, block=j) from None
         fj = -(bj.T @ X)
         F_bar[j, offsets[j] : offsets[j + 1]] = fj
         Acl = Aj + bj @ fj

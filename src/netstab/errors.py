@@ -52,6 +52,22 @@ class EpsilonExhausted(NetstabError):
     """The scaling search ran out of candidates; signals numerical pathology."""
 
 
+class IllConditioned(NetstabError):
+    """A result failed its checks because an intermediate is ill conditioned.
+
+    Carries the pipeline ``.stage``, the measured condition number ``.cond``
+    and the cyclic ``.block`` index (None when not known).
+    """
+
+    def __init__(self, stage, cond, detail, block=None):
+        self.stage = stage
+        self.cond = cond
+        self.detail = detail
+        self.block = block
+        where = stage if block is None else f"{stage}, block {block}"
+        super().__init__(f"{where}: {detail}")
+
+
 class Diverged(NetstabError):
     """A trajectory overflowed. Carries the divergence time in ``.time``."""
 

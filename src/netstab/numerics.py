@@ -1,10 +1,11 @@
 """Dense linear-algebra kernels shared by the other modules.
 
-Everything here works on small dense matrices (desk scale). The Lyapunov
-solver is the Schur-based Bartels-Stewart method (O(n^3) flops, with a
-residual at rounding level even on strongly non-normal coefficients); the
-Riccati solver extracts the stable invariant subspace of the associated
-Hamiltonian matrix with an ordered real Schur decomposition.
+Everything here works on small dense matrices (desk scale). The one
+Lyapunov solver is the Schur-based Bartels-Stewart method (O(n^3) flops,
+with a residual at rounding level even on strongly non-normal
+coefficients). The zero-state-weight Riccati solver builds on it: an
+ordered real Schur form of ``A`` and one Lyapunov solve on the unstable
+part give the stabilizing solution (mirror-pole construction).
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from scipy import linalg
 from .errors import (
     AxisEigenvalue,
     Diverged,
+    IllConditioned,
     InvalidInput,
     NetstabError,
     NotHurwitz,
@@ -26,6 +28,9 @@ from .errors import (
 #: Absolute half-width of the strip around the imaginary axis inside which an
 #: eigenvalue is treated as an axis eigenvalue.
 TAU_AXIS = 1e-9
+
+#: Stage named by the errors of the Riccati gain kernel.
+RICCATI = "riccati gain"
 
 
 def _as_square(A, name="matrix"):
@@ -61,12 +66,6 @@ def spectral_radius(Z) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(Z))))
 
 
-def _lyapunov_bartels_stewart(Acl, Qs):
-    """Raw Bartels-Stewart solve of ``Acl L + L Acl' + Qs = 0`` (Qs symmetric)."""
-    L = linalg.solve_continuous_lyapunov(Acl, -Qs)
-    return 0.5 * (L + L.T)
-
-
 def solve_lyapunov(Acl, Q) -> np.ndarray:
     """Solve ``Acl L + L Acl' + Q = 0`` for symmetric PSD ``Q`` and Hurwitz ``Acl``.
 
@@ -92,7 +91,8 @@ def solve_lyapunov(Acl, Q) -> np.ndarray:
     # no iterative refinement: the orthogonal Schur reduction already leaves
     # a rounding-level residual, and a correction solved from the rounded
     # defect of a strongly non-normal loop adds error instead of removing it
-    L = _lyapunov_bartels_stewart(Acl, Qs)
+    L = linalg.solve_continuous_lyapunov(Acl, -Qs)
+    L = 0.5 * (L + L.T)
     residual = np.linalg.norm(Acl @ L + L @ Acl.T + Qs)
     scale = max(np.linalg.norm(Qs), np.linalg.norm(Acl) * np.linalg.norm(L), 1e-300)
     if residual > 1e-8 * scale:
@@ -129,11 +129,14 @@ def stabilizable_pbh(A, B, rank_tol=1e-8) -> bool:
 def solve_care_stabilizing(A, B) -> np.ndarray:
     """Stabilizing solution of ``A'X + XA - X B B' X = 0``.
 
-    The solution is obtained from the stable invariant subspace of the
-    2n x 2n Hamiltonian ``[[A, -BB'], [0, -A']]`` via an ordered real Schur
-    decomposition. On success ``X`` is symmetric PSD, the closed loop
-    ``A - BB'X`` is Hurwitz, and the residual is below
-    ``1e-8 * max(1, ||X||^2)``.
+    Mirror-pole construction (Zhou, Doyle & Glover, *Robust and Optimal
+    Control*, ch. 13): in the real Schur form ``A = U T U'``, stable part
+    first, one Lyapunov solve ``T_u Y + Y T_u' = B_u B_u'`` on the unstable
+    part, ``B_u = U_u' B``, gives ``X = U_u Y^-1 U_u'`` by a Cholesky factor
+    of ``Y``. ``X`` annihilates the stable invariant subspace, ``A - BB'X``
+    mirrors the unstable eigenvalues, and ``cond(Y)`` limits the accuracy.
+    On success ``X`` is symmetric PSD, ``A - BB'X`` is Hurwitz and the
+    residual is below ``1e-8 * max(1, ||X||^2)``.
 
     Raises
     ------
@@ -141,6 +144,9 @@ def solve_care_stabilizing(A, B) -> np.ndarray:
         When ``A`` has an eigenvalue within TAU_AXIS of the imaginary axis.
     Unstabilizable
         When (A, B) fails the PBH test.
+    IllConditioned
+        When ``Y`` has no Cholesky factor or ``X`` fails the residual or
+        Hurwitz check; carries ``cond(Y)``.
     """
     A = _as_square(A, "A")
     B = np.asarray(B, dtype=float)
@@ -151,42 +157,35 @@ def solve_care_stabilizing(A, B) -> np.ndarray:
         raise InvalidInput("A and B must have matching row dimensions")
     if not np.all(np.isfinite(B)):
         raise InvalidInput("B has non-finite entries")
-    evals = np.linalg.eigvals(A)
-    if np.any(np.abs(evals.real) < TAU_AXIS):
+    if np.any(np.abs(np.linalg.eigvals(A).real) < TAU_AXIS):
         raise AxisEigenvalue(
             "A has an eigenvalue on the imaginary axis; the stabilizing "
             "Riccati solution is not defined"
         )
     if not stabilizable_pbh(A, B):
         raise Unstabilizable("(A, B) is not stabilizable")
-    H = np.block([[A, -B @ B.T], [np.zeros((n, n)), -A.T]])
-    _, Z, sdim = linalg.schur(H, output="real", sort=lambda re, im: re < 0.0)
-    if sdim != n:
-        raise NetstabError(
-            f"stable invariant subspace has dimension {sdim}, expected {n}"
-        )
-    X1 = Z[:n, :n]
-    X2 = Z[n:, :n]
-    X = np.linalg.solve(X1.T, X2.T).T
-    X = 0.5 * (X + X.T)
-    # Newton refinement: each step solves one Lyapunov equation in the
-    # current closed loop and typically gains several digits on poorly
-    # conditioned instances
+    T, U, sdim = linalg.schur(A, sort="lhp", check_finite=False)
+    if sdim == n:
+        return np.zeros((n, n))
+    Uu = U[:, sdim:]
+    Bu = Uu.T @ B
+    Y = solve_lyapunov(-T[sdim:, sdim:], Bu @ Bu.T)
+
+    def ill_conditioned(detail):
+        cond = float(np.linalg.cond(Y))
+        return IllConditioned(RICCATI, cond, f"{detail}; cond(Y) = {cond:.3e}")
+    try:
+        C = linalg.cholesky(Y, lower=True, check_finite=False)
+    except linalg.LinAlgError:
+        raise ill_conditioned("Y has no Cholesky factor") from None
+    W = linalg.solve_triangular(C, Uu.T, lower=True, check_finite=False)
+    X = W.T @ W
     BBt = B @ B.T
-    for _ in range(4):
-        residual_mat = A.T @ X + X @ A - X @ BBt @ X
-        if np.linalg.norm(residual_mat) <= 1e-13 * max(1.0, np.linalg.norm(X) ** 2):
-            break
-        Acl = A - BBt @ X
-        if not is_hurwitz(Acl):
-            break
-        X = X + _lyapunov_bartels_stewart(Acl.T, residual_mat)
-        X = 0.5 * (X + X.T)
     residual = np.linalg.norm(A.T @ X + X @ A - X @ BBt @ X)
     if residual > 1e-8 * max(1.0, np.linalg.norm(X) ** 2):
-        raise NetstabError(f"Riccati residual {residual:.3e} exceeds tolerance")
-    if not is_hurwitz(A - B @ B.T @ X):
-        raise NetstabError("Riccati closed loop failed the Hurwitz check")
+        raise ill_conditioned(f"Riccati residual {residual:.3e} exceeds tolerance")
+    if not is_hurwitz(A - BBt @ X):
+        raise ill_conditioned("Riccati closed loop failed the Hurwitz check")
     min_eig = float(np.min(np.linalg.eigvalsh(X)))
     if min_eig < -1e-8 * max(1.0, np.linalg.norm(X)):
         raise NetstabError("Riccati solution is not positive semidefinite")

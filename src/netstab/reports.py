@@ -123,12 +123,17 @@ def parse_machine(text: str):
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid machine document: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ParseError("a machine document must be a JSON object")
     schema = doc.get("schema", "")
-    parts = schema.split("/")
+    parts = str(schema).split("/")
     if (len(parts) != 3 or parts[0] != _SCHEMA_PREFIX or parts[2] != "v1"
             or parts[1] not in _SCHEMAS):
         raise ParseError(f"unsupported schema {schema!r}")
-    return _decode(_SCHEMAS[parts[1]], parts[1], doc["payload"])
+    try:
+        return _decode(_SCHEMAS[parts[1]], parts[1], doc["payload"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ParseError(f"malformed {schema} document: {exc!r}") from None
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""Shared fixtures: the four-state benchmark plant and its two channel banks."""
+"""Shared fixtures: the four-state benchmark plant and its two channel banks,
+and the single-input conditioning ladder."""
 
 import numpy as np
 import pytest
@@ -41,3 +42,16 @@ def nearest_isometry(U):
     """Polar factor: the closest matrix with exactly orthonormal columns."""
     u, _, vt = np.linalg.svd(U, full_matrices=False)
     return u @ vt
+
+
+def ladder_block(seed, n):
+    """Single-input block ``A = S diag(+-linspace(0.5, 3, n/2)) S'`` with a
+    Gaussian ``b``: ``S`` from the QR of a normal draw of
+    ``default_rng((seed, n, 7))``, ``b`` drawn next from the same generator.
+    Placing n/2 spread poles through one input makes the Gramian of the
+    unstable part ill conditioned as n grows."""
+    rng = np.random.default_rng((seed, n, 7))
+    S, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    poles = np.linspace(0.5, 3.0, n // 2)
+    A = S @ np.diag(np.concatenate([poles, -poles])) @ S.T
+    return A, rng.normal(size=(n, 1))

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from conftest import F_BENCH, U_BENCH_AWGN, U_BENCH_FADING, nearest_isometry
+from conftest import (
+    F_BENCH,
+    U_BENCH_AWGN,
+    U_BENCH_FADING,
+    ladder_block,
+    nearest_isometry,
+)
 from netstab import analysis
 from netstab.analysis import analyze, channel_powers_awgn
 from netstab.codesign import (
@@ -14,8 +20,14 @@ from netstab.codesign import (
     synthesize_codec,
     synthesize_gain,
 )
-from netstab.cyclic import cyclic_decompose
-from netstab.errors import CodecInvalid, EpsilonExhausted, InvalidInput, Unstabilizable
+from netstab.cyclic import CyclicDecomposition, cyclic_decompose
+from netstab.errors import (
+    CodecInvalid,
+    EpsilonExhausted,
+    IllConditioned,
+    InvalidInput,
+    Unstabilizable,
+)
 from netstab.plantmodel import ChannelEnsemble, Plant
 
 
@@ -45,6 +57,25 @@ class TestSynthesizeGain:
             d = cyclic_decompose(Plant(A=A, B=B), seed=trial)
             F = synthesize_gain(d)
             assert np.max(np.linalg.eigvals(A + B @ F).real) < 0
+
+    @pytest.mark.parametrize("n", [4, 8, 12, 20, 24])
+    def test_conditioning_ladder(self, n):
+        # up to n = 12 every draw passes every check, the energy identity
+        # included; at n = 20 and 24 cond(Y) is past 1e12 and every failure
+        # is the typed error naming the block
+        for seed in range(10):
+            A, b = ladder_block(seed, n)
+            entropy = float(np.sum(np.maximum(np.linalg.eigvals(A).real, 0.0)))
+            d = CyclicDecomposition(P=np.eye(n), Q=np.eye(1), blocks=((A, b),),
+                                    k=1, h=np.array([entropy]), seed=0)
+            try:
+                F = synthesize_gain(d)
+            except IllConditioned as exc:
+                assert n >= 20
+                assert exc.block == 0
+                assert np.isfinite(exc.cond) and exc.cond > 1e12
+                continue
+            assert np.max(np.linalg.eigvals(A + b @ F).real) < 0
 
 
 class TestSynthesizeCodec:

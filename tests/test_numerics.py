@@ -1,16 +1,20 @@
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
+from scipy import linalg
 
+from conftest import ladder_block
 from netstab.analysis import StateSpace, h2_norm_squared
 from netstab.errors import (
     AxisEigenvalue,
     Diverged,
+    IllConditioned,
     InvalidInput,
     NotHurwitz,
     Unstabilizable,
 )
 from netstab.numerics import (
+    RICCATI,
     integrate_linear_matrix_ode,
     solve_care_stabilizing,
     solve_lyapunov,
@@ -104,6 +108,37 @@ class TestRiccati:
         entropy = float(np.sum(np.linalg.eigvals(A).real))
         best = 0.5 * h2_norm_squared(StateSpace(Acl=A + b @ f, Bcl=b, Ccl=f))
         assert abs(best - entropy) <= 1e-6 * max(1.0, entropy)
+
+    def test_matches_scipy_on_mixed_spectra(self):
+        # independent reference: scipy's Hamiltonian-based CARE solver with
+        # zero state weight; X must also annihilate the stable subspace
+        rng = np.random.default_rng(31)
+        checked = 0
+        while checked < 30:
+            n = int(rng.integers(2, 11))
+            m = int(rng.integers(1, 4))
+            A = rng.normal(size=(n, n))
+            re = np.linalg.eigvals(A).real
+            if np.min(np.abs(re)) < 0.1 or np.all(re > 0) or np.all(re < 0):
+                continue
+            B = rng.normal(size=(n, m))
+            X = solve_care_stabilizing(A, B)
+            reference = linalg.solve_continuous_are(A, B, np.zeros((n, n)), np.eye(m))
+            assert np.linalg.norm(X - reference) <= 1e-8 * np.linalg.norm(reference)
+            _, Z, sdim = linalg.schur(A, sort="lhp")
+            assert 0 < sdim < n
+            assert np.linalg.norm(X @ Z[:, :sdim]) <= 1e-10 * np.linalg.norm(X)
+            checked += 1
+
+    def test_ill_conditioned_gramian_is_typed(self):
+        # 12 spread poles through one input: cond(Y) is far past 1/eps
+        A, b = ladder_block(0, 24)
+        with pytest.raises(IllConditioned) as err:
+            solve_care_stabilizing(A, b)
+        assert err.value.stage == RICCATI
+        assert err.value.block is None
+        assert np.isfinite(err.value.cond) and err.value.cond > 1e16
+        assert "cond(Y)" in str(err.value)
 
 
 class TestSpectralRadius:

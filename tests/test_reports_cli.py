@@ -3,13 +3,16 @@ import os
 
 import numpy as np
 import pytest
+import yaml
 from numpy.testing import assert_allclose
 
+from conftest import ladder_block
 from netstab import ChannelEnsemble, Plant
 from netstab.analysis import analyze, simulate_fading_covariance
 from netstab.cli import main
 from netstab.codesign import codesign
 from netstab.cyclic import cyclic_decompose
+from netstab.errors import ParseError
 from netstab.majorize import STRICT_WEAK_ABOVE, check_order, pad_to_match
 from netstab.plantmodel import capacities, validate_plant
 from netstab.reports import emit, emit_machine, parse_machine
@@ -84,6 +87,18 @@ class TestMachineRoundTrip:
             assert type(rebuilt) is type(obj)
             assert_same_kinds(obj, rebuilt)
 
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"schema": "netstab/design/v1", "payload": {}}',
+        '{"schema": "netstab/design/v1"}',
+        '{"schema": "netstab/design/v2", "payload": {}}',
+        '{"schema": 3, "payload": {}}',
+        "{not json",
+    ])
+    def test_malformed_documents_raise_parse_error(self, text):
+        with pytest.raises(ParseError):
+            parse_machine(text)
+
     def test_emission_is_deterministic(self, all_reports):
         for obj in all_reports:
             assert emit_machine(obj) == emit_machine(obj)
@@ -157,6 +172,20 @@ class TestCli:
         bad = tmp_path / "broken.yaml"
         bad.write_text("plant: [not, a, mapping]\n")
         assert self.run("validate", str(bad)) == 2
+
+    def test_ill_conditioned_gain_is_exit_2(self, tmp_path, capsys):
+        A, b = ladder_block(0, 24)
+        entropy = float(np.sum(np.maximum(np.linalg.eigvals(A).real, 0.0)))
+        problem = tmp_path / "ladder24.yaml"
+        problem.write_text(yaml.safe_dump({
+            "plant": {"A": A.tolist(), "B": b.tolist()},
+            "channels": {"kind": "awgn", "power": [4.0 * entropy],
+                         "noise_density": [1.0]},
+        }))
+        assert self.run("codesign", str(problem)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("netstab: IllConditioned: riccati gain, block 0:")
+        assert "cond(Y) = " in err
 
     def test_pinned_epsilon_override(self):
         assert self.run("codesign", AWGN_FILE, "--epsilon", "0.05") == 0
