@@ -21,7 +21,6 @@ from .errors import (
     EpsilonExhausted,
     IllConditioned,
     InvalidInput,
-    NetstabError,
     Unstabilizable,
 )
 from .majorize import (
@@ -33,7 +32,7 @@ from .majorize import (
     schur_horn_isometry,
     strictness_margin,
 )
-from .numerics import solve_care_stabilizing
+from .numerics import RICCATI, solve_care_stabilizing
 from .plantmodel import AWGN, FADING, ChannelEnsemble, Plant, capacities, validate_plant
 
 #: Geometric halving schedule for the codec scaling.
@@ -111,8 +110,9 @@ def synthesize_gain(d: CyclicDecomposition) -> np.ndarray:
     the stabilizing solution of the zero-state-weight Riccati equation; the
     block-diagonal gain is padded with zero rows for unused inputs and
     mapped back through the decomposition transformations. Each block's
-    noise-to-input energy is verified to equal twice its entropy. An
-    ``IllConditioned`` error from a block's Riccati solve names the block.
+    noise-to-input energy is verified to equal twice its entropy. A block
+    whose Riccati solve or energy identity fails raises ``IllConditioned``
+    naming the block, with ``cond(Y)`` read from the spectrum of ``X``.
     """
     m = d.Q.shape[0]
     n = d.P.shape[0]
@@ -131,9 +131,17 @@ def synthesize_gain(d: CyclicDecomposition) -> np.ndarray:
             analysis.StateSpace(Acl=Acl, Bcl=bj, Ccl=fj)
         )
         if abs(energy - 2.0 * d.h[j]) > 1e-6 * max(1.0, 2.0 * d.h[j]):
-            raise NetstabError(
-                f"block {j} noise energy {energy:.9f} deviates from twice its "
-                f"entropy {2.0 * d.h[j]:.9f}"
+            # X = U_u Y^-1 U_u' has the reciprocals of Y's eigenvalues as its
+            # nonzero spectrum, one per unstable eigenvalue of A_j; a block
+            # with no unstable part has an empty Y (a hand-built h is off)
+            n_u = int(np.sum(np.linalg.eigvals(Aj).real > 0))
+            ev = np.linalg.eigvalsh(X)
+            cond = float(ev[-1] / ev[-n_u]) if n_u else 1.0
+            raise IllConditioned(
+                RICCATI, cond,
+                f"noise energy {energy:.9f} deviates from twice the entropy "
+                f"{2.0 * d.h[j]:.9f}; cond(Y) = {cond:.3e}",
+                block=j,
             )
     return d.Q @ F_bar @ np.linalg.inv(d.P)
 

@@ -7,11 +7,12 @@ blocks equals the largest geometric multiplicity, every block has simple
 (block-distinct) eigenvalues and is therefore cyclic, and block entropies
 are automatically non-increasing.
 
-The input transformation is found constructively: candidate input columns
-are screened so that, within every unstable cluster, the couplings they
-induce are incrementally independent; a per-cluster change of eigenbasis
-("remix") then zeroes the couplings below the block diagonal exactly. A
-structured first attempt aims for unit couplings, falling back to seeded
+The input transformation is found constructively. A candidate set of input
+columns must give a nonsingular coupling matrix Y in every unstable cluster
+and a nonsingular input transformation Q. Within each cluster, the unitary
+factor of the QR factorization Y = Z R then remixes the eigenbasis: the new
+couplings are R, so the couplings below the block diagonal are zero. A
+structured first candidate aims for unit couplings, falling back to seeded
 random candidates. Every result is re-verified against all invariants.
 """
 
@@ -49,9 +50,6 @@ class _Cluster:
     @property
     def unstable(self):
         return np.real(self.value) > TAU_AXIS
-
-    def cell_dim(self):
-        return 2 if self.is_pair else 1
 
     def cell_matrix(self):
         if self.is_pair:
@@ -112,7 +110,7 @@ def _analyze_clusters(A):
     return clusters
 
 
-def _assemble_basis(clusters, n):
+def _assemble_basis(clusters):
     """Columns of the candidate diagonalizing basis, grouped by cluster.
 
     Pair clusters contribute (Re v_j, Im v_j) column pairs. Returns the real
@@ -135,7 +133,7 @@ def _assemble_basis(clusters, n):
     return np.column_stack(cols)
 
 
-def _diagonal_model(clusters, n):
+def _diagonal_model(clusters):
     cells = []
     for cl in clusters:
         for _ in range(cl.mult):
@@ -144,14 +142,13 @@ def _diagonal_model(clusters, n):
 
 
 def _check_diagonalizable(A, clusters):
-    n = A.shape[0]
-    P0 = _assemble_basis(clusters, n)
+    P0 = _assemble_basis(clusters)
     if np.linalg.cond(P0) > _MAX_BASIS_COND:
         raise NotDiagonalizable(
             "eigenvector basis condition number exceeds 1e8; the matrix "
             "appears defective (supply a hand-built decomposition instead)"
         )
-    model = _diagonal_model(clusters, n)
+    model = _diagonal_model(clusters)
     residual = np.linalg.norm(A @ P0 - P0 @ model)
     if residual > 1e-6 * max(1.0, np.linalg.norm(A)):
         raise NotDiagonalizable(
@@ -217,25 +214,19 @@ def _cluster_rows(cl, Bt):
     return rows.astype(complex)
 
 
-def _incremental_ok(rows, mult, qs):
-    """Columns q_0..q_{mult-1} must excite the cluster incrementally."""
-    Y = rows @ qs[:, :mult]
-    for i in range(1, mult + 1):
-        sv = np.linalg.svd(Y[:, :i], compute_uv=False)
-        if sv[-1] <= 1e-9 * max(1.0, sv[0]):
-            return False
-    return True
+def _nonsingular(Y):
+    sv = np.linalg.svd(Y, compute_uv=False)
+    return sv[-1] > 1e-9 * max(1.0, sv[0])
 
 
-def _structured_candidate(clusters, row_map, m, k):
+def _structured_candidate(clusters, rows, m, k):
     """Least-squares columns aiming at unit couplings, with the couplings of
     all later copies constrained to zero. Reproduces tidy transformations
     (identity Q) for systems that are already in decomposed form."""
     qs = np.zeros((m, k))
     for j in range(k):
         kill, excite = [], []
-        for idx, cl in enumerate(clusters):
-            Z = row_map[idx]
+        for cl, Z in zip(clusters, rows):
             if cl.mult > j + 1:
                 kill.append(Z[j + 1 :, :])
             if cl.mult >= j + 1:
@@ -258,58 +249,28 @@ def _structured_candidate(clusters, row_map, m, k):
     return qs
 
 
-def _remix_cluster(rows, mu, qs):
-    """Change of eigenbasis zeroing sub-diagonal couplings of one cluster.
+def _remix(cl, rows, qs, P):
+    """Remix the cluster's columns of P so its couplings are upper triangular.
 
-    Returns G with rows g_i satisfying g_i' Y[:, :i] = 0, chosen backward
-    from the most constrained row so that G stays nonsingular (possible
-    because rank(Y[:, :i]) <= i). Row i is steered toward a large coupling
-    with column i when the cluster still has freedom there.
+    The coupling matrix ``Y = rows @ qs[:, :mult]`` factors as ``Y = Z R``
+    with ``Z`` unitary. Scaling the columns of ``Z`` by the phases of
+    ``diag(R)`` (phase 1 where an entry is zero) leaves ``R`` with a real
+    nonnegative diagonal. The new eigenbasis ``V Z`` couples as
+    ``Z^H Y = R``: copy i of the cluster sees no input column before i, and
+    sees column i through a real entry, positive when ``Y`` is nonsingular.
+    ``Z`` is unitary, so the remix exists for every candidate. Pair clusters
+    are remixed as complex columns.
     """
-    Y = rows @ qs[:, :mu]
-    G = np.zeros((mu, mu), dtype=complex)
-    chosen = []
-    for i in range(mu - 1, -1, -1):
-        if i == 0:
-            null = np.eye(mu, dtype=complex)
-        else:
-            _, sv, Vh = np.linalg.svd(Y[:, :i].conj().T)
-            rank = int(np.sum(sv > 1e-12 * max(1.0, sv[0])))
-            null = Vh[rank:, :].conj().T
-        if chosen:
-            C = np.column_stack(chosen)
-            proj = null - C @ np.linalg.lstsq(C, null, rcond=None)[0]
-            u, sv, _ = np.linalg.svd(proj)
-            rank = int(np.sum(sv > 1e-10 * max(1.0, sv[0] if sv.size else 1.0)))
-            if rank == 0:
-                return None
-            null = u[:, :rank]
-        w = null.conj().T @ Y[:, i]
-        if np.linalg.norm(w) > 1e-10 * max(1.0, np.abs(Y).max()):
-            g = null @ (w / np.linalg.norm(w))
-        else:
-            g = null[:, 0]
-        G[i, :] = g.conj()
-        chosen.append(g)
-    if np.linalg.cond(G) > 1e10:
-        return None
-    return G
-
-
-def _apply_remix(cl, G, P):
-    """Replace the cluster columns of P by the remixed eigenbasis."""
+    Z, R = np.linalg.qr(rows @ qs[:, : cl.mult])
+    d = np.diag(R)
+    Z = Z * np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
     s, wdt = cl.col_start, cl.col_width
-    Ginv = np.linalg.inv(G)
     if cl.is_pair:
-        Pc = P[:, s : s + wdt]
-        Vc = Pc[:, 0::2] + 1j * Pc[:, 1::2]
-        Vn = Vc @ Ginv
-        out = np.empty_like(Pc)
-        out[:, 0::2] = Vn.real
-        out[:, 1::2] = Vn.imag
-        P[:, s : s + wdt] = out
+        V = (P[:, s : s + wdt : 2] + 1j * P[:, s + 1 : s + wdt : 2]) @ Z
+        P[:, s : s + wdt : 2] = V.real
+        P[:, s + 1 : s + wdt : 2] = V.imag
     else:
-        P[:, s : s + wdt] = P[:, s : s + wdt] @ Ginv.real
+        P[:, s : s + wdt] = P[:, s : s + wdt] @ Z.real
 
 
 def _block_entropy(Ai):
@@ -325,11 +286,11 @@ def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
     verified against every invariant before being returned.
     """
     A, B = plant.A, plant.B
-    n, m = plant.n, plant.m
+    m = plant.m
     if not stabilizable_pbh(A, B):
         raise Unstabilizable("(A, B) is not stabilizable")
     clusters = _analyze_clusters(A)
-    _check_diagonalizable(A, clusters)
+    P = _check_diagonalizable(A, clusters)
     k = max(cl.mult for cl in clusters)
     if k > m:
         raise DecompositionFailed(
@@ -337,41 +298,34 @@ def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
             "form does not exist for this pair"
         )
 
-    P0 = _assemble_basis(clusters, n)
-    Bt = np.linalg.solve(P0, B)
-    row_map = {idx: _cluster_rows(cl, Bt) for idx, cl in enumerate(clusters)}
+    Bt = np.linalg.solve(P, B)
+    rows = [_cluster_rows(cl, Bt) for cl in clusters]
 
     rng = np.random.default_rng(seed)
-    qs = None
-    remixes = None
     for attempt in range(_Q_ATTEMPTS):
-        if attempt == 0:
-            cand = _structured_candidate(clusters, row_map, m, k)
-        else:
-            cand = rng.normal(size=(m, k))
-        if cand is None:
-            continue
-        if all(
-            _incremental_ok(row_map[idx], cl.mult, cand)
-            for idx, cl in enumerate(clusters)
+        qs = (_structured_candidate(clusters, rows, m, k) if attempt == 0
+              else rng.normal(size=(m, k)))
+        if qs is None or not all(
+            _nonsingular(r @ qs[:, : cl.mult])
+            for cl, r in zip(clusters, rows)
             if cl.unstable
         ):
-            trial = [
-                _remix_cluster(row_map[idx], cl.mult, cand)
-                for idx, cl in enumerate(clusters)
-            ]
-            if all(G is not None for G in trial):
-                qs, remixes = cand, trial
-                break
-    if qs is None:
+            continue
+        if k < m:
+            basis, _ = np.linalg.qr(np.hstack([qs, np.eye(m)]))
+            Q = np.hstack([qs, basis[:, k:m]])
+        else:
+            Q = qs
+        if np.linalg.cond(Q) <= 1e10:
+            break
+    else:
         raise DecompositionFailed(
-            "no input-column candidate excited every unstable cluster "
-            f"incrementally after {_Q_ATTEMPTS} attempts"
+            "no input-column candidate excited every unstable cluster with a "
+            f"nonsingular input transformation after {_Q_ATTEMPTS} attempts"
         )
 
-    P = P0.copy()
-    for cl, G in zip(clusters, remixes):
-        _apply_remix(cl, G, P)
+    for cl, r in zip(clusters, rows):
+        _remix(cl, r, qs, P)
 
     # columns of P regrouped so copies of equal index form consecutive blocks
     perm = []
@@ -388,14 +342,6 @@ def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
             cells.append(cl.cell_matrix())
         blocks.append(linalg.block_diag(*cells))
     P = P[:, perm]
-
-    if k < m:
-        basis, _ = np.linalg.qr(np.hstack([qs, np.eye(m)]))
-        Q = np.hstack([qs, basis[:, k:m]])
-    else:
-        Q = qs
-    if np.linalg.cond(Q) > 1e10:
-        raise DecompositionFailed("input transformation is numerically singular")
 
     dims = [blk.shape[0] for blk in blocks]
     offsets = np.concatenate([[0], np.cumsum(dims)])

@@ -28,6 +28,7 @@ from netstab.errors import (
     InvalidInput,
     Unstabilizable,
 )
+from netstab.numerics import RICCATI
 from netstab.plantmodel import ChannelEnsemble, Plant
 
 
@@ -58,6 +59,12 @@ class TestSynthesizeGain:
             F = synthesize_gain(d)
             assert np.max(np.linalg.eigvals(A + B @ F).real) < 0
 
+    @staticmethod
+    def _single_block(A, b):
+        entropy = float(np.sum(np.maximum(np.linalg.eigvals(A).real, 0.0)))
+        return CyclicDecomposition(P=np.eye(len(A)), Q=np.eye(1), blocks=((A, b),),
+                                   k=1, h=np.array([entropy]), seed=0)
+
     @pytest.mark.parametrize("n", [4, 8, 12, 20, 24])
     def test_conditioning_ladder(self, n):
         # up to n = 12 every draw passes every check, the energy identity
@@ -65,17 +72,33 @@ class TestSynthesizeGain:
         # is the typed error naming the block
         for seed in range(10):
             A, b = ladder_block(seed, n)
-            entropy = float(np.sum(np.maximum(np.linalg.eigvals(A).real, 0.0)))
-            d = CyclicDecomposition(P=np.eye(n), Q=np.eye(1), blocks=((A, b),),
-                                    k=1, h=np.array([entropy]), seed=0)
             try:
-                F = synthesize_gain(d)
+                F = synthesize_gain(self._single_block(A, b))
             except IllConditioned as exc:
                 assert n >= 20
                 assert exc.block == 0
                 assert np.isfinite(exc.cond) and exc.cond > 1e12
                 continue
             assert np.max(np.linalg.eigvals(A + b @ F).real) < 0
+
+    def test_energy_identity_failure_is_typed(self):
+        # cond(Y) = 3.3e11: the Riccati solve passes its checks, the energy
+        # identity misses its 1e-6 bound
+        with pytest.raises(IllConditioned) as err:
+            synthesize_gain(self._single_block(*ladder_block(4, 16)))
+        assert err.value.stage == RICCATI
+        assert err.value.block == 0
+        assert err.value.cond == pytest.approx(3.3e11, rel=0.05)
+
+    def test_energy_identity_failure_on_stable_block(self):
+        # X = 0 and Y is empty; a hand-built entropy of 1 cannot be met
+        d = CyclicDecomposition(P=np.eye(1), Q=np.eye(1),
+                                blocks=((np.array([[-1.0]]), np.array([1.0])),),
+                                k=1, h=np.array([1.0]), seed=0)
+        with pytest.raises(IllConditioned) as err:
+            synthesize_gain(d)
+        assert err.value.block == 0
+        assert err.value.cond == 1.0
 
 
 class TestSynthesizeCodec:

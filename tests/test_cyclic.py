@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import linalg
 
+from netstab.codesign import codesign
 from netstab.cyclic import (
     CyclicDecomposition,
     cyclic_decompose,
@@ -10,7 +11,7 @@ from netstab.cyclic import (
     verify_decomposition,
 )
 from netstab.errors import DecompositionFailed, NotDiagonalizable, Unstabilizable
-from netstab.plantmodel import Plant, topological_entropy
+from netstab.plantmodel import ChannelEnsemble, Plant, topological_entropy
 
 
 def random_diagonalizable(rng, n, allow_pairs=True):
@@ -107,6 +108,19 @@ class TestDecomposeBenchmark:
         with pytest.raises(DecompositionFailed):
             cyclic_decompose(p)
 
+    def test_singular_q_candidate_replaced(self):
+        # the structured candidate leaves the stable double eigenvalue
+        # unexcited and has a zero second column; it passes the unstable
+        # cluster test, so only the cond(Q) test makes the search go on
+        p = Plant(
+            A=np.diag([2.0, -1.0, -1.0]),
+            B=np.array([[1.0, 0.0], [0.0, 0.0], [0.0, 0.0]]),
+        )
+        d = cyclic_decompose(p)
+        assert verify_decomposition(p, d).ok
+        ch = ChannelEnsemble(kind="awgn", power=[5.0, 5.0], noise_density=[1.0, 1.0])
+        assert codesign(p, ch).report.stabilized
+
 
 class TestVerify:
     def _paper_form(self):
@@ -180,6 +194,19 @@ class TestDecomposeProperties:
                 stair[offs[j]: offs[j + 1], j] = d.blocks[j][1]
             B_back = d.P @ stair @ np.linalg.inv(d.Q)
             assert_allclose(B_back, B, atol=1e-6 * max(1, np.linalg.norm(B)))
+
+            # the remix couples each real cell through a positive entry and
+            # each 2x2 pair cell through (c, 0) with c > 0
+            for Ai, bi in d.blocks:
+                scale = np.abs(bi).max()
+                i = 0
+                while i < len(bi):
+                    assert bi[i] > 0, (trial, bi)
+                    if i + 1 < len(bi) and Ai[i, i + 1] != 0.0:
+                        assert abs(bi[i + 1]) <= 1e-12 * scale, (trial, bi)
+                        i += 2
+                    else:
+                        i += 1
 
     def test_deterministic_for_fixed_seed(self, bench_plant):
         d1 = cyclic_decompose(bench_plant, seed=0)
