@@ -60,14 +60,10 @@ def closed_loop(plant: Plant, design) -> StateSpace:
     ``BRM`` for fading designs (the multiplicative noise enters after the
     channel mean); the output matrix is ``TF``.
     """
-    A, B = plant.A, plant.B
-    Acl = A + B @ design.F
+    Bcl = plant.B @ design.R
     if design.kind == FADING:
-        Bcl = B @ design.R @ np.diag(design.mean)
-    else:
-        Bcl = B @ design.R
-    Ccl = design.T @ design.F
-    return StateSpace(Acl=Acl, Bcl=Bcl, Ccl=Ccl)
+        Bcl = Bcl * design.mean
+    return StateSpace(plant.A + plant.B @ design.F, Bcl, design.T @ design.F)
 
 
 def h2_gramian_entrywise(ss: StateSpace) -> np.ndarray:
@@ -87,15 +83,11 @@ def h2_gramian_entrywise(ss: StateSpace) -> np.ndarray:
     return np.maximum(K, 0.0)
 
 
-def h2_norm_squared(ss: StateSpace, weight=None) -> float:
-    """Total squared H2 norm via a single Lyapunov solve.
-
-    ``weight`` optionally scales the input covariance: Q = Bcl W Bcl'.
-    """
+def h2_norm_squared(ss: StateSpace) -> float:
+    """Total squared H2 norm via a single Lyapunov solve."""
     if not ss.hurwitz:
         raise NotHurwitz("H2 norm requires a Hurwitz closed loop")
-    W = np.eye(ss.Bcl.shape[1]) if weight is None else np.asarray(weight, float)
-    L = solve_lyapunov(ss.Acl, ss.Bcl @ W @ ss.Bcl.T)
+    L = solve_lyapunov(ss.Acl, ss.Bcl @ ss.Bcl.T)
     return float(np.trace(ss.Ccl @ L @ ss.Ccl.T))
 
 
@@ -138,40 +130,38 @@ def mixed_norms(ss: StateSpace):
     return norm_2_1, norm_2_inf
 
 
-def _fading_noise_feedback(plant: Plant, design, ch: ChannelEnsemble):
+def _ms_loop(plant: Plant, design, ch: ChannelEnsemble) -> StateSpace:
+    """Fading closed loop with its inputs scaled by sigma/|mu|: column i of
+    ``Bcl`` is +-sigma_i (BR)_i, so channel i re-injects b_i b_i' (c_i' X c_i)
+    into the covariance. This is the realization :func:`ms_norm` measures."""
     if ch.kind != FADING:
         raise InvalidInput("covariance simulation applies to fading channels")
     if design.kind != FADING:
         raise InvalidInput("design kind does not match the channel kind")
-    G = plant.B @ design.R
-    Ccl = design.T @ design.F
-    return G, Ccl, ch.variance.copy()
+    ss = closed_loop(plant, design)
+    phi = np.sqrt(ch.variance) / np.abs(ch.mean)
+    return StateSpace(Acl=ss.Acl, Bcl=ss.Bcl * phi, Ccl=ss.Ccl)
 
 
 def covariance_rhs(plant: Plant, design, ch: ChannelEnsemble):
     """Right-hand side of the state-covariance evolution under multiplicative
     channel noise: the stable Lyapunov flow plus a noise re-injection term
     that reads the per-channel signal powers off the diagonal."""
-    Acl = plant.A + plant.B @ design.F
-    G, Ccl, s2 = _fading_noise_feedback(plant, design, ch)
+    ss = _ms_loop(plant, design, ch)
 
     def rhs(X):
-        y = np.einsum("in,nm,im->i", Ccl, X, Ccl)
-        return Acl @ X + X @ Acl.T + (G * (s2 * y)) @ G.T
+        y = np.einsum("in,nm,im->i", ss.Ccl, X, ss.Ccl)
+        return ss.Acl @ X + X @ ss.Acl.T + (ss.Bcl * y) @ ss.Bcl.T
 
     return rhs
 
 
-def _ms_generator(Acl, G, Ccl, s2) -> np.ndarray:
-    """n^2 x n^2 matrix of X -> Acl X + X Acl' + sum_i s2_i g_i g_i' (c_i' X c_i)
+def _ms_generator(ss: StateSpace) -> np.ndarray:
+    """n^2 x n^2 matrix of X -> Acl X + X Acl' + sum_i b_i b_i' (c_i' X c_i)
     acting on column-major vec(X)."""
-    n = Acl.shape[0]
-    op = np.kron(np.eye(n), Acl) + np.kron(Acl, np.eye(n))
-    for i in range(G.shape[1]):
-        gi = G[:, i]
-        ci = Ccl[i, :]
-        op += s2[i] * np.outer(np.outer(gi, gi).flatten(order="F"), np.kron(ci, ci))
-    return op
+    eye, Ct = np.eye(ss.Acl.shape[0]), ss.Ccl.T
+    reinjection = linalg.khatri_rao(ss.Bcl, ss.Bcl) @ linalg.khatri_rao(Ct, Ct).T
+    return np.kron(eye, ss.Acl) + np.kron(ss.Acl, eye) + reinjection
 
 
 def ms_operator(plant: Plant, design, ch: ChannelEnsemble) -> np.ndarray:
@@ -180,36 +170,35 @@ def ms_operator(plant: Plant, design, ch: ChannelEnsemble) -> np.ndarray:
 
     Returns the n^2 x n^2 matrix L with vec(X)' = L vec(X) (column-major
     vec): the Lyapunov part I (x) Acl + Acl (x) I plus, per channel i, the
-    rank-one re-injection s2_i vec(g_i g_i') (c_i (x) c_i)' with G = BR and
-    C = TF. It is the operator :func:`covariance_rhs` applies to a matrix.
+    rank-one re-injection vec(b_i b_i') (c_i (x) c_i)' with b_i the
+    sigma_i-scaled i-th column of BR and C = TF. It is the operator
+    :func:`covariance_rhs` applies to a matrix.
     """
-    Acl = plant.A + plant.B @ design.F
-    G, Ccl, s2 = _fading_noise_feedback(plant, design, ch)
-    return _ms_generator(Acl, G, Ccl, s2)
+    return _ms_generator(_ms_loop(plant, design, ch))
 
 
-def _ms_lyapunov_coordinates(Acl, G, Ccl, s2):
+def _ms_lyapunov_coordinates(ss: StateSpace):
     """W and its inverse for the coordinates X -> W X W' with W'W = P, P the
     solution of the adjoint equation
-    Acl'P + P Acl + sum_i s2_i (g_i'P g_i) c_i c_i' = -I.
+    Acl'P + P Acl + sum_i (b_i'P b_i) c_i c_i' = -I.
 
     For a mean-square stable loop P is positive definite and tr(P X) is a
-    Lyapunov function of the covariance flow. With q_i = g_i'P g_i,
-    P = P0 + sum_i s2_i q_i P_i where P0 and P_i solve Lyapunov equations
-    with right-hand sides I and c_i c_i', and q solves the m x m system
-    (I - M) q = q0, M_ji = s2_i g_j'P_i g_j. The eigenvalues of P are
+    Lyapunov function of the covariance flow. With q_i = b_i'P b_i,
+    P = P0 + sum_i q_i P_i where P0 and P_i solve Lyapunov equations
+    with right-hand sides I and c_i c_i', and q solves the l x l system
+    (I - M) q = q0, M_ji = b_j'P_i b_j. The eigenvalues of P are
     floored at 1e-15 of the largest, which keeps W invertible where
     rounding leaves P indefinite; any invertible W gives an exact change
     of coordinates, only the contraction needs P. The identity when no P
     can be computed (A + BF not Hurwitz) or P has no positive eigenvalue.
     """
-    n = Acl.shape[0]
+    n = ss.Acl.shape[0]
     try:
-        P0 = solve_lyapunov(Acl.T, np.eye(n))
-        Pi = [solve_lyapunov(Acl.T, np.outer(c, c)) for c in Ccl]
-        M = np.array([[s2[i] * (g @ Pi[i] @ g) for i in range(s2.size)] for g in G.T])
-        q = np.linalg.solve(np.eye(s2.size) - M, [g @ P0 @ g for g in G.T])
-        P = P0 + sum(s2[i] * q[i] * Pi[i] for i in range(s2.size))
+        P0 = solve_lyapunov(ss.Acl.T, np.eye(n))
+        Pi = [solve_lyapunov(ss.Acl.T, np.outer(c, c)) for c in ss.Ccl]
+        M = np.array([[b @ Pc @ b for Pc in Pi] for b in ss.Bcl.T])
+        q = np.linalg.solve(np.eye(len(Pi)) - M, [b @ P0 @ b for b in ss.Bcl.T])
+        P = P0 + sum(qi * Pc for qi, Pc in zip(q, Pi))
         lam, V = np.linalg.eigh(0.5 * (P + P.T))
     except (NetstabError, np.linalg.LinAlgError):
         return np.eye(n), np.eye(n)
@@ -219,14 +208,33 @@ def _ms_lyapunov_coordinates(Acl, G, Ccl, s2):
     return root[:, None] * V.T, V / root
 
 
+def _ms_triangle(ss: StateSpace):
+    """``(Ls, W, Winv, r, c)``: the generator restricted to symmetric
+    matrices in the coordinates Xw = W X W' of
+    :func:`_ms_lyapunov_coordinates`, an n(n+1)/2 square matrix Ls acting on
+    the upper triangle entries (r, c), r <= c, of Xw."""
+    n = ss.Acl.shape[0]
+    W, Winv = _ms_lyapunov_coordinates(ss)
+    L = _ms_generator(StateSpace(W @ ss.Acl @ Winv, W @ ss.Bcl, ss.Ccl @ Winv))
+    # entry (r, c), r <= c, sits at column-major vec positions a and b
+    r, c = np.triu_indices(n)
+    a, b = r + n * c, c + n * r
+    return L[a][:, a] + L[a][:, b] * (a != b), W, Winv, r, c
+
+
 def ms_operator_abscissa(plant: Plant, design, ch: ChannelEnsemble) -> float:
-    """Spectral abscissa of :func:`ms_operator`.
+    """Spectral abscissa of :func:`ms_operator`, read off the triangle
+    operator Ls of :func:`_ms_triangle` that
+    :func:`simulate_fading_covariance` propagates. On antisymmetric
+    matrices the re-injection vanishes and the eigenvalues are sums of two
+    eigenvalues of A + BF, never the largest; W is a similarity.
 
     Negative exactly when the closed fading loop is mean-square stable; its
     magnitude is the slowest mean-square decay rate, which is the right time
     scale for covariance simulations.
     """
-    return float(np.max(np.linalg.eigvals(ms_operator(plant, design, ch)).real))
+    Ls = _ms_triangle(_ms_loop(plant, design, ch))[0]
+    return float(np.max(np.linalg.eigvals(Ls).real))
 
 
 def default_time_step(plant: Plant, design) -> float:
@@ -236,7 +244,7 @@ def default_time_step(plant: Plant, design) -> float:
     is propagated exactly between them, so the step has no bearing on the
     accuracy of a sample.
     """
-    alpha = abs(spectral_abscissa(plant.A + plant.B @ design.F))
+    alpha = abs(spectral_abscissa(closed_loop(plant, design).Acl))
     return 0.01 / max(alpha, 1e-3)
 
 
@@ -278,15 +286,13 @@ def simulate_fading_covariance(
     tr(Xw) = tr(P X) is the Lyapunov function of a mean-square stable loop
     (see :func:`_ms_lyapunov_coordinates`). There the flow is a contraction
     of the trace norm, so rounding errors do not grow along the transient
-    of a strongly non-normal loop. Xw stays symmetric, so
-    only its upper triangle is propagated, by the restriction Ls of the
-    :func:`ms_operator` in those coordinates to symmetric matrices (an
-    n(n+1)/2 square matrix). Between kept samples the triangle is
-    multiplied by expm(Ls h): one exponential for the uniform stride and
-    one for the final interval, which is shorter in time even when it
-    spans a full stride of grid steps. Overflow is reported through
-    ``diverged_at`` rather than raised: divergence is a meaningful verdict
-    for an inadequate design.
+    of a strongly non-normal loop. Xw stays symmetric, so only its upper
+    triangle is propagated, by the operator Ls of :func:`_ms_triangle`.
+    Between kept samples the triangle is multiplied by expm(Ls h): one
+    exponential for the uniform stride and one for the final interval,
+    which is shorter in time even when it spans a full stride of grid
+    steps. Overflow is reported through ``diverged_at`` rather than raised:
+    divergence is a meaningful verdict for an inadequate design.
     """
     if dt is None:
         dt = default_time_step(plant, design)
@@ -294,15 +300,8 @@ def simulate_fading_covariance(
         raise InvalidInput("t_end and dt must be positive")
     times, stride = _sample_grid(t_end, dt)
     n = plant.n
-    Acl = plant.A + plant.B @ design.F
-    G, Ccl, s2 = _fading_noise_feedback(plant, design, ch)
-    W, Winv = _ms_lyapunov_coordinates(Acl, G, Ccl, s2)
-    L = _ms_generator(W @ Acl @ Winv, W @ G, Ccl @ Winv, s2)
-    # entry (r, c), r <= c, sits at column-major vec positions a and b
-    r, c = np.triu_indices(n)
-    a, b = r + n * c, c + n * r
-    Ls = L[a][:, a] + L[a][:, b] * (a != b)
-    tri = np.empty((times.size, a.size))
+    Ls, W, Winv, r, c = _ms_triangle(_ms_loop(plant, design, ch))
+    tri = np.empty((times.size, r.size))
     tri[0] = (W @ np.outer(plant.x0, plant.x0) @ W.T)[r, c]
     step = linalg.expm(Ls * (stride * dt))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -355,6 +354,7 @@ def analyze(plant: Plant, design, ch: ChannelEnsemble) -> AnalysisReport:
     """
     ss = closed_loop(plant, design)
     spectrum = np.linalg.eigvals(ss.Acl)
+    spectrum = spectrum[np.lexsort((spectrum.imag, spectrum.real))]
     if not ss.hurwitz:
         return AnalysisReport(
             verdict=VERDICT_UNSTABLE,

@@ -1,5 +1,6 @@
 import os
 
+import mpmath
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -24,7 +25,7 @@ from netstab.analysis import (
 )
 from netstab.cli import main
 from netstab.codesign import CoDesign, codesign, synthesize_codec
-from netstab.errors import NotHurwitz
+from netstab.errors import NetstabError, NotHurwitz
 from netstab.numerics import (
     integrate_linear_matrix_ode,
     solve_care_stabilizing,
@@ -192,6 +193,49 @@ class TestMixedNorms:
             assert mixed_norms(scaled)[1] == pytest.approx(ms, abs=1e-6)
 
 
+def size_table_problem(n):
+    """Size-table fading plant: A = S diag((2, 1, -1, -2) (x) 1_k) S' with
+    S from the QR of a normal draw of ``default_rng((0, n))``, B drawn next,
+    k = n/4 fading subchannels with mean 1 and variance 1/12."""
+    k = n // 4
+    rng = np.random.default_rng((0, n))
+    S, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    A = S @ np.diag(np.kron([2.0, 1.0, -1.0, -2.0], np.ones(k))) @ S.T
+    plant = Plant(A=0.5 * (A + A.T), B=rng.normal(size=(n, k)), x0=np.ones(n))
+    ch = ChannelEnsemble(kind="fading", mean=np.ones(k), variance=np.full(k, 1 / 12))
+    return plant, ch
+
+
+def mp_ms_abscissa(plant, design, ch, dps=30):
+    """Abscissa of the covariance generator restricted to symmetric
+    matrices, built in the original coordinates from the stored design and
+    solved by mpmath at ``dps`` digits: column (r, c), r <= c, of the
+    triangle operator is the upper triangle of
+    Acl E + E Acl' + sum_i s2_i g_i g_i' (c_i' E c_i), E = e_r e_c' + e_c e_r'
+    (E = e_r e_r' on the diagonal), with Acl = A + BF, G = BR, C = TF."""
+    n = plant.n
+    with mpmath.workdps(dps):
+        def mat(x):
+            return mpmath.matrix(np.atleast_2d(x).tolist())
+
+        Acl = mat(plant.A) + mat(plant.B) * mat(design.F)
+        C = mat(design.T) * mat(design.F)
+        G = mat(plant.B) * mat(design.R)
+        s2 = [mpmath.mpf(v) for v in ch.variance]
+        tri = [(r, c) for c in range(n) for r in range(c + 1)]
+        Ls = mpmath.matrix(len(tri), len(tri))
+        for j, (r, c) in enumerate(tri):
+            E = mpmath.zeros(n, n)
+            E[r, c] = E[c, r] = 1
+            X = Acl * E + E * Acl.T
+            for i, v in enumerate(s2):
+                y = v * (C[i, :] * E * C[i, :].T)[0, 0]
+                X += y * G[:, i] * G[:, i].T
+            for k, (a, b) in enumerate(tri):
+                Ls[k, j] = X[a, b]
+        return float(max(mpmath.re(e) for e in mpmath.eig(Ls, left=False, right=False)))
+
+
 def stepped_grid(t_end, dt):
     """Reference sample grid, built step by step: steps of dt accumulated,
     the last one shortened to end at t_end, then every stride-th sample and
@@ -307,12 +351,7 @@ class TestCovarianceSimulation:
         # with the triangle alone.
         # RK4 at dt/4 and dt/16 agree to 4e-5 up to t = 20 and to 1.5e-2
         # at t = 30.
-        n, k = 24, 6
-        rng = np.random.default_rng((0, n))
-        S, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        A = S @ np.diag(np.kron([2.0, 1.0, -1.0, -2.0], np.ones(k))) @ S.T
-        plant = Plant(A=0.5 * (A + A.T), B=rng.normal(size=(n, k)), x0=np.ones(n))
-        ch = ChannelEnsemble(kind="fading", mean=np.ones(k), variance=np.full(k, 1 / 12))
+        plant, ch = size_table_problem(24)
         design = codesign(plant, ch).design
         dt = default_time_step(plant, design)
         traj = simulate_fading_covariance(plant, design, ch, t_end=30.0)
@@ -338,6 +377,66 @@ class TestMeanSquareOperator:
             expected = rhs(X).ravel(order="F")
             got = L @ X.ravel(order="F")
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_demo_abscissa_matches_extended_precision(self, bench_plant, bench_fading):
+        design = codesign(bench_plant, bench_fading).design
+        alpha = ms_operator_abscissa(bench_plant, design, bench_fading)
+        assert abs(alpha - mp_ms_abscissa(bench_plant, design, bench_fading)) <= 1e-12
+
+    def test_size_table_abscissa_matches_extended_precision(self):
+        """The reference is ``mp_ms_abscissa(plant, design, ch)`` on the
+        n = 16 size-table design at 30 digits, a 136 x 136 eigenproblem
+        that takes minutes in mpmath, so it is pinned."""
+        plant, ch = size_table_problem(16)
+        design = codesign(plant, ch).design
+        alpha = ms_operator_abscissa(plant, design, ch)
+        assert abs(alpha - (-0.999997959021226)) <= 1e-3
+
+    @pytest.mark.parametrize("n", [24, 32])
+    def test_size_table_abscissa_sign(self, n):
+        plant, ch = size_table_problem(n)
+        res = codesign(plant, ch)
+        assert res.report.ms_norm[0] < 1.0
+        assert ms_operator_abscissa(plant, res.design, ch) < 0.0
+
+    def test_abscissa_sign_follows_ms_norm_on_random_plants(self):
+        # A = S diag(+-U(0.3, 2.5)) S^-1 with S = N(0, 1) + 2I, n = 1..8,
+        # m = 1..2 inputs, l = m..m+2 fading subchannels with means
+        # +-U(0.5, 2) and variances U(0.01, 0.3). An accepted design with a
+        # clear margin decays; the same design with variances scaled to
+        # put its ms_norm at 1.5 grows.
+        checked = 0
+        for seed in range(200):
+            rng = np.random.default_rng((seed, 99))
+            n, m = int(rng.integers(1, 9)), int(rng.integers(1, 3))
+            S = rng.normal(size=(n, n)) + 2.0 * np.eye(n)
+            poles = rng.choice([-1.0, 1.0], n) * rng.uniform(0.3, 2.5, n)
+            A = S @ np.diag(poles) @ np.linalg.inv(S)
+            B = rng.normal(size=(n, m))
+            lch = int(rng.integers(m, m + 3))
+            mean = rng.choice([-1.0, 1.0], lch) * rng.uniform(0.5, 2.0, lch)
+            variance = rng.uniform(0.01, 0.3, lch)
+            try:
+                plant = Plant(A=A, B=B)
+                ch = ChannelEnsemble(kind="fading", mean=mean, variance=variance)
+                res = codesign(plant, ch)
+            except NetstabError:
+                continue
+            if not res.feasible:
+                continue
+            assert res.report.stabilized
+            value = res.report.ms_norm[0]
+            if 1.0 - value < 1e-3 or value < 1e-6:
+                continue
+            checked += 1
+            alpha = ms_operator_abscissa(plant, res.design, ch)
+            assert alpha < 0.0, (seed, value, alpha)
+            louder = ChannelEnsemble(
+                kind="fading", mean=mean, variance=variance * (1.5 / value) ** 2
+            )
+            alpha = ms_operator_abscissa(plant, res.design, louder)
+            assert alpha > 0.0, (seed, value, alpha)
+        assert checked >= 100
 
 
 class TestAnalyze:
@@ -369,6 +468,23 @@ class TestAnalyze:
         )
         report = analyze(bench_plant, broken, bench_awgn)
         assert report.verdict == "unstable"
+
+    def test_spectrum_sorted_by_real_then_imaginary_part(self, bench_plant, bench_fading):
+        # the demo's double eigenvalue -1 comes out of LAPACK as
+        # -0.99999999999915, -0.9999999999999996
+        spectra = [codesign(bench_plant, bench_fading).report.closed_loop_spectrum]
+        p = Plant(A=np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.0], [0.0, 0.0, -3.0]]),
+                  B=np.eye(3))
+        ch = ChannelEnsemble(kind="awgn", power=[1.0] * 3, noise_density=[1.0] * 3)
+        design = CoDesign(
+            kind="awgn", F=np.zeros((3, 3)), T=np.eye(3), R=np.eye(3),
+            epsilon=1.0, gamma=np.zeros(3), U=np.eye(3),
+        )
+        spectra.append(analyze(p, design, ch).closed_loop_spectrum)
+        assert_allclose(spectra[1], [-3.0, -1.0 - 2.0j, -1.0 + 2.0j], atol=1e-12)
+        for spectrum in spectra:
+            keys = [(z.real, z.imag) for z in spectrum]
+            assert keys == sorted(keys)
 
 
 class TestMsNormOdeConsistency:
