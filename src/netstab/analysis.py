@@ -4,6 +4,7 @@ simulation, and the final stabilization verdict."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import linalg
@@ -12,9 +13,7 @@ from .errors import InvalidInput, NetstabError, NotHurwitz
 from .numerics import (
     _OVERFLOW_LIMIT,
     MatrixTrajectory,
-    is_hurwitz,
     solve_lyapunov,
-    spectral_abscissa,
     spectral_radius,
 )
 from .plantmodel import AWGN, FADING, ChannelEnsemble, Plant
@@ -30,7 +29,11 @@ MAX_TRAJECTORY_SAMPLES = 10_000
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Strictly proper state-space realization ``Ccl (sI - Acl)^-1 Bcl``."""
+    """Strictly proper state-space realization ``Ccl (sI - Acl)^-1 Bcl``.
+
+    Shapes and finiteness are checked on construction; the spectrum of
+    ``Acl`` is computed on first use and kept.
+    """
 
     Acl: np.ndarray
     Bcl: np.ndarray
@@ -43,14 +46,21 @@ class StateSpace:
         n = Acl.shape[0]
         if Acl.shape != (n, n) or Bcl.shape[0] != n or Ccl.shape[1] != n:
             raise InvalidInput("inconsistent state-space dimensions")
+        if not np.all(np.isfinite(Acl)):
+            raise InvalidInput("A has non-finite entries")
         object.__setattr__(self, "Acl", Acl)
         object.__setattr__(self, "Bcl", Bcl)
         object.__setattr__(self, "Ccl", Ccl)
-        object.__setattr__(self, "_hurwitz", is_hurwitz(Acl))
+
+    @cached_property
+    def spectrum(self) -> np.ndarray:
+        """Eigenvalues of ``Acl`` sorted by real part, then imaginary part."""
+        ev = np.linalg.eigvals(self.Acl)
+        return ev[np.lexsort((ev.imag, ev.real))]
 
     @property
     def hurwitz(self) -> bool:
-        return self._hurwitz
+        return float(np.max(self.spectrum.real)) < 0.0
 
 
 def closed_loop(plant: Plant, design) -> StateSpace:
@@ -105,6 +115,15 @@ def channel_powers_awgn(plant: Plant, design, noise_density) -> np.ndarray:
     return np.maximum(np.einsum("in,nm,im->i", ss.Ccl, L, ss.Ccl), 0.0)
 
 
+def _scale_inputs(ss: StateSpace, phi) -> StateSpace:
+    """``ss`` with input column i scaled by ``phi[i]``; the copy shares
+    ``Acl`` and, once computed, its spectrum."""
+    scaled = StateSpace(Acl=ss.Acl, Bcl=ss.Bcl * phi, Ccl=ss.Ccl)
+    if "spectrum" in vars(ss):
+        vars(scaled)["spectrum"] = ss.spectrum
+    return scaled
+
+
 def ms_norm(ss: StateSpace, phi) -> float:
     """Mean-square norm of the realization composed with a positive diagonal
     input scaling: the square root of the spectral radius of the matrix of
@@ -114,7 +133,7 @@ def ms_norm(ss: StateSpace, phi) -> float:
         raise InvalidInput("input scaling must be positive")
     if ss.Bcl.shape[1] != phi.size:
         raise InvalidInput("scaling length must match the input count")
-    scaled = StateSpace(Acl=ss.Acl, Bcl=ss.Bcl * phi, Ccl=ss.Ccl)
+    scaled = _scale_inputs(ss, phi)
     if scaled.Ccl.shape[0] != scaled.Bcl.shape[1]:
         raise InvalidInput("mean-square norm requires a square transfer matrix")
     K = h2_gramian_entrywise(scaled)
@@ -138,9 +157,8 @@ def _ms_loop(plant: Plant, design, ch: ChannelEnsemble) -> StateSpace:
         raise InvalidInput("covariance simulation applies to fading channels")
     if design.kind != FADING:
         raise InvalidInput("design kind does not match the channel kind")
-    ss = closed_loop(plant, design)
     phi = np.sqrt(ch.variance) / np.abs(ch.mean)
-    return StateSpace(Acl=ss.Acl, Bcl=ss.Bcl * phi, Ccl=ss.Ccl)
+    return _scale_inputs(closed_loop(plant, design), phi)
 
 
 def covariance_rhs(plant: Plant, design, ch: ChannelEnsemble):
@@ -244,7 +262,7 @@ def default_time_step(plant: Plant, design) -> float:
     is propagated exactly between them, so the step has no bearing on the
     accuracy of a sample.
     """
-    alpha = abs(spectral_abscissa(closed_loop(plant, design).Acl))
+    alpha = abs(float(np.max(closed_loop(plant, design).spectrum.real)))
     return 0.01 / max(alpha, 1e-3)
 
 
@@ -353,13 +371,11 @@ def analyze(plant: Plant, design, ch: ChannelEnsemble) -> AnalysisReport:
     the noise-to-input transfer scaled by sigma/|mu| is below one.
     """
     ss = closed_loop(plant, design)
-    spectrum = np.linalg.eigvals(ss.Acl)
-    spectrum = spectrum[np.lexsort((spectrum.imag, spectrum.real))]
     if not ss.hurwitz:
         return AnalysisReport(
             verdict=VERDICT_UNSTABLE,
             kind=ch.kind,
-            closed_loop_spectrum=spectrum,
+            closed_loop_spectrum=ss.spectrum,
             margins=np.array([]),
         )
     if ch.kind == AWGN:
@@ -369,7 +385,7 @@ def analyze(plant: Plant, design, ch: ChannelEnsemble) -> AnalysisReport:
         return AnalysisReport(
             verdict=VERDICT_STABILIZED if ok else VERDICT_POWER_VIOLATION,
             kind=ch.kind,
-            closed_loop_spectrum=spectrum,
+            closed_loop_spectrum=ss.spectrum,
             margins=margins,
             channel_powers=powers,
         )
@@ -379,7 +395,7 @@ def analyze(plant: Plant, design, ch: ChannelEnsemble) -> AnalysisReport:
     return AnalysisReport(
         verdict=VERDICT_STABILIZED if ok else VERDICT_MS_NORM_VIOLATION,
         kind=ch.kind,
-        closed_loop_spectrum=spectrum,
+        closed_loop_spectrum=ss.spectrum,
         margins=np.array([1.0 - value]),
         ms_norm=np.array([value]),
     )

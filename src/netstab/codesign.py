@@ -21,7 +21,6 @@ from .errors import (
     EpsilonExhausted,
     IllConditioned,
     InvalidInput,
-    Unstabilizable,
 )
 from .majorize import (
     STRICT_WEAK_ABOVE,
@@ -33,7 +32,7 @@ from .majorize import (
     strictness_margin,
 )
 from .numerics import RICCATI, solve_care_stabilizing
-from .plantmodel import AWGN, FADING, ChannelEnsemble, Plant, capacities, validate_plant
+from .plantmodel import AWGN, FADING, ChannelEnsemble, Plant, capacities
 
 #: Geometric halving schedule for the codec scaling.
 EPSILON_SCHEDULE = tuple(0.5**i for i in range(60))
@@ -218,11 +217,6 @@ def codesign(
     search at once, since the gain, and with it A + BF, does not depend on
     the scaling.
     """
-    val = validate_plant(plant)
-    if not val.stabilizable:
-        raise Unstabilizable(
-            f"plant fails the PBH test at eigenvalues {val.pbh_failures}"
-        )
     d = cyclic_decompose(plant, seed=seed)
     c = capacities(ch)
     c_pad, h_pad = pad_to_match(c, d.h)

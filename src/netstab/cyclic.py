@@ -28,7 +28,13 @@ from .errors import (
     NotDiagonalizable,
     Unstabilizable,
 )
-from .numerics import TAU_AXIS, _as_square, eig_cluster_tolerance, stabilizable_pbh
+from .numerics import (
+    TAU_AXIS,
+    _as_square,
+    eig_cluster_tolerance,
+    pbh_failures,
+    stabilizable_pbh,
+)
 from .plantmodel import Plant
 
 _MAX_BASIS_COND = 1e8
@@ -287,8 +293,9 @@ def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
     """
     A, B = plant.A, plant.B
     m = plant.m
-    if not stabilizable_pbh(A, B):
-        raise Unstabilizable("(A, B) is not stabilizable")
+    failures = pbh_failures(A, B)
+    if failures:
+        raise Unstabilizable(f"plant fails the PBH test at eigenvalues {failures}")
     clusters = _analyze_clusters(A)
     P = _check_diagonalizable(A, clusters)
     k = max(cl.mult for cl in clusters)

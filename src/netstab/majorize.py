@@ -20,17 +20,15 @@ import numpy as np
 from .errors import ConstructionFailed, InvalidInput, NotMajorized, Unsupported
 
 MAJORIZE = "majorize"
-WEAK_BELOW = "weak_below"
 WEAK_ABOVE = "weak_above"
-STRICT_WEAK_BELOW = "strict_weak_below"
 STRICT_WEAK_ABOVE = "strict_weak_above"
 
-_RELATIONS = (MAJORIZE, WEAK_BELOW, WEAK_ABOVE, STRICT_WEAK_BELOW, STRICT_WEAK_ABOVE)
+_RELATIONS = (MAJORIZE, WEAK_ABOVE, STRICT_WEAK_ABOVE)
 
-# "Descending" relations compare non-increasing prefix sums x <= y; the
-# "above" relations compare non-decreasing prefix sums x >= y.
+# Majorization compares non-increasing prefix sums x <= y; the "above"
+# relations compare non-decreasing prefix sums x >= y.
 _ASCENDING = {WEAK_ABOVE, STRICT_WEAK_ABOVE}
-_STRICT = {STRICT_WEAK_BELOW, STRICT_WEAK_ABOVE}
+_STRICT = {STRICT_WEAK_ABOVE}
 
 
 def strictness_margin(x) -> float:
@@ -63,8 +61,8 @@ class OrderVerdict:
     that positive means satisfied. For the plain majorization relation the
     final entry is the negated absolute total mismatch, so it is ~0 when the
     totals agree. ``x_prefix``/``y_prefix`` hold the sorted prefix sums that
-    were compared (ascending order for the "above" relations, descending
-    otherwise).
+    were compared (ascending order for the "above" relations, descending for
+    majorization).
     """
 
     relation: str
@@ -324,9 +322,7 @@ def brute_force_feasible_gamma(c, h, grid: int):
 
 __all__ = [
     "MAJORIZE",
-    "WEAK_BELOW",
     "WEAK_ABOVE",
-    "STRICT_WEAK_BELOW",
     "STRICT_WEAK_ABOVE",
     "OrderVerdict",
     "check_order",

@@ -2,8 +2,11 @@
 
 A problem file is a YAML document with a fixed schema: a plant (state and
 input matrices, optional initial state), a channel ensemble, and optional
-solver options. Unknown keys and duplicate keys are rejected with their
-line numbers; matrix literals are row-major nested arrays of numbers.
+solver options. The key sets and the channel field table below are the one
+statement of that schema: each channel kind names its two vector fields,
+which must have equal length. Unknown keys and duplicate keys are rejected
+with their line numbers; matrix literals are row-major nested arrays of
+numbers.
 """
 
 from __future__ import annotations
@@ -16,9 +19,14 @@ import yaml
 from .errors import DimensionMismatch, InvalidInput, InvariantViolation, ParseError
 from .plantmodel import AWGN, FADING, ChannelEnsemble, Plant
 
+#: channel kind -> (its name in messages, its two equal-length vector fields)
+_CHANNEL_FIELDS = {
+    AWGN: ("AWGN channels", ("power", "noise_density")),
+    FADING: ("fading channels", ("mean", "variance")),
+}
 _TOP_KEYS = {"plant", "channels", "options"}
 _PLANT_KEYS = {"A", "B", "x0"}
-_CHANNEL_KEYS = {"kind", "power", "noise_density", "mean", "variance"}
+_CHANNEL_KEYS = {"kind"}.union(*(names for _, names in _CHANNEL_FIELDS.values()))
 _OPTION_KEYS = {"epsilon", "t_end", "dt", "seed"}
 
 
@@ -64,32 +72,40 @@ def _reject_unknown(mapping, allowed, context):
 def _require(mapping, key, context):
     if key not in mapping:
         raise ParseError(f"{context} is missing required key {key!r}",
-                         line=getattr(mapping, "start_line", None))
+                         line=mapping.start_line)
     return mapping[key]
 
 
-def _line(mapping, key):
-    return mapping.lines.get(key) if isinstance(mapping, _TrackedDict) else None
+def _section(raw, key, allowed):
+    """The required top-level mapping ``raw[key]``, holding only ``allowed`` keys."""
+    mapping = _require(raw, key, "problem file")
+    if not isinstance(mapping, _TrackedDict):
+        raise ParseError(f"{key!r} must be a mapping", line=raw.lines.get(key))
+    _reject_unknown(mapping, allowed, repr(key))
+    return mapping
 
 
-def _as_matrix(value, name, line):
+def _array(mapping, key, context, ndim):
+    """The required ``mapping[key]`` as a nonempty float array of ``ndim``
+    (1 or 2) dimensions; ``context`` names the mapping in messages."""
+    value = _require(mapping, key, context)
+    line = mapping.lines.get(key)
+    what = "rectangular numeric array" if ndim == 2 else "numeric vector"
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError):
-        raise ParseError(f"{name} must be a rectangular numeric array", line=line)
-    if arr.ndim != 2 or arr.size == 0:
-        raise ParseError(f"{name} must be a nonempty 2-d array", line=line)
+        raise ParseError(f"{key} must be a {what}", line=line)
+    if arr.ndim != ndim or arr.size == 0:
+        raise ParseError(f"{key} must be a nonempty {ndim}-d array", line=line)
     return arr
 
 
-def _as_vector(value, name, line):
+def _construct(cls, **fields):
+    """``cls(**fields)``, its type-invariant failures raised as InvariantViolation."""
     try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ParseError(f"{name} must be a numeric vector", line=line)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ParseError(f"{name} must be a nonempty 1-d array", line=line)
-    return arr
+        return cls(**fields)
+    except InvalidInput as exc:
+        raise InvariantViolation(str(exc)) from None
 
 
 @dataclass(frozen=True)
@@ -120,89 +136,56 @@ def parse_problem_file(text: str) -> ProblemFile:
         raise ParseError("problem file must be a mapping at the top level")
     _reject_unknown(raw, _TOP_KEYS, "the top level")
 
-    plant_map = _require(raw, "plant", "problem file")
-    if not isinstance(plant_map, _TrackedDict):
-        raise ParseError("'plant' must be a mapping", line=_line(raw, "plant"))
-    _reject_unknown(plant_map, _PLANT_KEYS, "'plant'")
-    A = _as_matrix(_require(plant_map, "A", "'plant'"), "A", _line(plant_map, "A"))
+    plant_map = _section(raw, "plant", _PLANT_KEYS)
+    A = _array(plant_map, "A", "'plant'", 2)
     if A.shape[0] != A.shape[1]:
         raise DimensionMismatch(f"A must be square, got {A.shape[0]}x{A.shape[1]}")
-    B = _as_matrix(_require(plant_map, "B", "'plant'"), "B", _line(plant_map, "B"))
+    B = _array(plant_map, "B", "'plant'", 2)
     if B.shape[0] != A.shape[0]:
         raise DimensionMismatch(
             f"B has {B.shape[0]} rows but A is {A.shape[0]}x{A.shape[1]}"
         )
     x0 = None
     if "x0" in plant_map:
-        x0 = _as_vector(plant_map["x0"], "x0", _line(plant_map, "x0"))
+        x0 = _array(plant_map, "x0", "'plant'", 1)
         if x0.size != A.shape[0]:
             raise DimensionMismatch(
                 f"x0 has length {x0.size} but the state dimension is {A.shape[0]}"
             )
-    try:
-        plant = Plant(A=A, B=B, x0=x0)
-    except InvalidInput as exc:
-        raise InvariantViolation(str(exc)) from None
+    plant = _construct(Plant, A=A, B=B, x0=x0)
 
-    ch_map = _require(raw, "channels", "problem file")
-    if not isinstance(ch_map, _TrackedDict):
-        raise ParseError("'channels' must be a mapping", line=_line(raw, "channels"))
-    _reject_unknown(ch_map, _CHANNEL_KEYS, "'channels'")
+    ch_map = _section(raw, "channels", _CHANNEL_KEYS)
     kind = _require(ch_map, "kind", "'channels'")
-    if kind not in (AWGN, FADING):
+    # a non-string kind (a list, say) is unhashable and no dict key
+    if not isinstance(kind, str) or kind not in _CHANNEL_FIELDS:
         raise ParseError(
-            f"channel kind must be 'awgn' or 'fading', got {kind!r}",
-            line=_line(ch_map, "kind"),
+            f"channel kind must be {' or '.join(map(repr, _CHANNEL_FIELDS))}, "
+            f"got {kind!r}",
+            line=ch_map.lines.get("kind"),
         )
-    fields = {}
-    if kind == AWGN:
-        fields["power"] = _as_vector(
-            _require(ch_map, "power", "AWGN channels"), "power", _line(ch_map, "power")
-        )
-        fields["noise_density"] = _as_vector(
-            _require(ch_map, "noise_density", "AWGN channels"),
-            "noise_density",
-            _line(ch_map, "noise_density"),
-        )
-        if fields["power"].size != fields["noise_density"].size:
-            raise DimensionMismatch("power and noise_density differ in length")
-    else:
-        fields["mean"] = _as_vector(
-            _require(ch_map, "mean", "fading channels"), "mean", _line(ch_map, "mean")
-        )
-        fields["variance"] = _as_vector(
-            _require(ch_map, "variance", "fading channels"),
-            "variance",
-            _line(ch_map, "variance"),
-        )
-        if fields["mean"].size != fields["variance"].size:
-            raise DimensionMismatch("mean and variance differ in length")
-    try:
-        channels = ChannelEnsemble(kind=kind, **fields)
-    except InvalidInput as exc:
-        raise InvariantViolation(str(exc)) from None
+    context, (first, second) = _CHANNEL_FIELDS[kind]
+    fields = {name: _array(ch_map, name, context, 1) for name in (first, second)}
+    if fields[first].size != fields[second].size:
+        raise DimensionMismatch(f"{first} and {second} differ in length")
+    channels = _construct(ChannelEnsemble, kind=kind, **fields)
 
     options = {}
-    if "options" in raw:
-        opt_map = raw["options"]
-        if not isinstance(opt_map, _TrackedDict):
-            raise ParseError("'options' must be a mapping", line=_line(raw, "options"))
-        _reject_unknown(opt_map, _OPTION_KEYS, "'options'")
-        for key in ("epsilon", "t_end", "dt"):
-            if key in opt_map:
-                value = opt_map[key]
-                if not isinstance(value, (int, float)) or isinstance(value, bool):
-                    raise ParseError(f"{key} must be a number", line=_line(opt_map, key))
-                if value <= 0:
-                    raise InvariantViolation(f"{key} must be positive, got {value}")
-                options[key] = float(value)
-        if "seed" in opt_map:
-            value = opt_map["seed"]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ParseError("seed must be an integer", line=_line(opt_map, "seed"))
-            options["seed"] = int(value)
-        if "epsilon" in options and options["epsilon"] > 1.0:
-            raise InvariantViolation("epsilon must lie in (0, 1]")
+    opt_map = _section(raw, "options", _OPTION_KEYS) if "options" in raw else {}
+    for key in ("epsilon", "t_end", "dt"):
+        if key in opt_map:
+            value = opt_map[key]
+            if not isinstance(value, (int, float)) or isinstance(value, bool):
+                raise ParseError(f"{key} must be a number", line=opt_map.lines.get(key))
+            if value <= 0:
+                raise InvariantViolation(f"{key} must be positive, got {value}")
+            options[key] = float(value)
+    if "seed" in opt_map:
+        value = opt_map["seed"]
+        if not isinstance(value, int) or isinstance(value, bool):
+            raise ParseError("seed must be an integer", line=opt_map.lines.get("seed"))
+        options["seed"] = int(value)
+    if "epsilon" in options and options["epsilon"] > 1.0:
+        raise InvariantViolation("epsilon must lie in (0, 1]")
 
     return ProblemFile(plant=plant, channels=channels, options=options)
 

@@ -68,6 +68,20 @@ class TestClosedLoop:
         assert_allclose(h2_gramian_entrywise(ss), np.zeros((2, 2)))
         assert analyze(p, design, ch).stabilized
 
+    def test_spectrum_is_computed_once_on_first_use(self):
+        Acl = np.array([[-1.0, 2.0, 0.0], [-2.0, -1.0, 0.0], [0.0, 0.0, -3.0]])
+        ss = StateSpace(Acl=Acl, Bcl=np.eye(3), Ccl=np.eye(3))
+        assert "spectrum" not in vars(ss)
+        assert ss.hurwitz
+        ev = np.linalg.eigvals(Acl)
+        assert np.array_equal(ss.spectrum, ev[np.lexsort((ev.imag, ev.real))])
+        assert vars(ss)["spectrum"] is ss.spectrum
+        assert not StateSpace(Acl=-Acl, Bcl=np.eye(3), Ccl=np.eye(3)).hurwitz
+
+    def test_non_finite_state_matrix_is_rejected_on_construction(self):
+        with pytest.raises(NetstabError, match="A has non-finite entries"):
+            StateSpace(Acl=np.array([[np.nan]]), Bcl=np.eye(1), Ccl=np.eye(1))
+
 
 class TestEntrywiseGramians:
     def test_first_block_energy(self):

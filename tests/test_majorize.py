@@ -55,6 +55,11 @@ class TestCheckOrder:
         with pytest.raises(InvalidInput):
             check_order([1.0], [1.0, 2.0], MAJORIZE)
 
+    @pytest.mark.parametrize("relation", ["weak_below", "strict_weak_below", "above"])
+    def test_rejects_unknown_relation(self, relation):
+        with pytest.raises(InvalidInput, match="unknown relation"):
+            check_order([1.0], [1.0], relation)
+
     def test_pad_to_match(self):
         x, y = pad_to_match([1.0, 2.0], [3.0])
         assert_allclose(x, [1.0, 2.0])

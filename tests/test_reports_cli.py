@@ -20,6 +20,11 @@ from netstab.reports import emit, emit_machine, parse_machine
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 AWGN_FILE = os.path.join(PROBLEMS, "demo_awgn.yaml")
 FADING_FILE = os.path.join(PROBLEMS, "demo_fading.yaml")
+# A = diag(1, 2), B = [1, 0]': the mode at 2 is unreachable
+UNSTABILIZABLE = (
+    "plant:\n  A: [[1, 0], [0, 2]]\n  B: [[1], [0]]\n"
+    "channels:\n  kind: awgn\n  power: [20]\n  noise_density: [1]\n"
+)
 
 
 @pytest.fixture
@@ -191,6 +196,67 @@ class TestCli:
         assert self.run("codesign", AWGN_FILE, "--epsilon", "0.05") == 0
         # a too-coarse pinned scaling is a negative verdict, not an error
         assert self.run("codesign", AWGN_FILE, "--epsilon", "1.0") == 1
+
+    def test_epsilon_pinned_in_file_is_negative(self, tmp_path, capsys):
+        # the same failing scaling pinned in the file or by --epsilon is one
+        # negative verdict
+        pinned = tmp_path / "pinned.yaml"
+        pinned.write_text(open(AWGN_FILE).read() + "options:\n  epsilon: 1.0\n")
+        assert self.run("codesign", str(pinned)) == 1
+        assert "EpsilonExhausted" in capsys.readouterr().err
+
+    def test_simulate_rejects_awgn_before_codesign(self, tmp_path, capsys):
+        # an unstabilizable AWGN plant would fail codesign with exit 1
+        problem = tmp_path / "unstab.yaml"
+        problem.write_text(UNSTABILIZABLE)
+        assert self.run("simulate", str(problem)) == 2
+        assert capsys.readouterr().err == (
+            "netstab: NetstabError: covariance simulation applies to fading "
+            "channels only (AWGN loops are verified analytically)\n"
+        )
+
+    @pytest.mark.parametrize("command", ["decompose", "check", "codesign", "analyze"])
+    def test_pbh_failure_names_the_eigenvalue(self, command, tmp_path, capsys):
+        problem = tmp_path / "unstab.yaml"
+        problem.write_text(UNSTABILIZABLE)
+        assert self.run(command, str(problem)) == 1
+        assert capsys.readouterr().err == (
+            "netstab: Unstabilizable: plant fails the PBH test at eigenvalues "
+            "((2+0j),)\n"
+        )
+
+    def test_options_before_command(self, tmp_path):
+        docs = []
+        for i, argv in enumerate((
+            ["codesign", FADING_FILE, "--format", "machine", "--seed", "0"],
+            ["--format", "machine", "--seed", "0", "codesign", FADING_FILE],
+            ["--seed", "0", "codesign", "--format", "machine", FADING_FILE],
+        )):
+            out = tmp_path / f"doc{i}.json"
+            assert self.run(*argv, "--out", str(out)) == 0
+            docs.append(out.read_bytes())
+        assert docs[0] == docs[1] == docs[2]
+
+    def test_help_lists_every_command(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run("--help")
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        for command, help_text in (
+            ("validate", "plant validation report (stabilizability, entropy)"),
+            ("decompose", "cyclic decomposition of the plant"),
+            ("check", "capacity-vs-entropy feasibility check with prefix table"),
+            ("codesign", "full co-design: gain, codec, scaling search"),
+            ("analyze", "co-design followed by the closed-loop analysis report"),
+            ("simulate", "co-design followed by covariance simulation (fading)"),
+        ):
+            assert f"{command} {help_text}" in text
+
+    def test_unknown_command_is_exit_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            self.run("frobnicate", AWGN_FILE)
+        assert exc.value.code == 2
+        assert "frobnicate" in capsys.readouterr().err
 
     def test_decompose(self, tmp_path):
         out = tmp_path / "dec.json"
