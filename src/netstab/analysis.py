@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 from scipy import linalg
 
-from .errors import InvalidInput, NetstabError, NotHurwitz
+from .errors import InvalidInput, NetstabError
 from .numerics import (
     _OVERFLOW_LIMIT,
     MatrixTrajectory,
@@ -80,23 +80,16 @@ def h2_gramian_entrywise(ss: StateSpace) -> np.ndarray:
     """Matrix of squared H2 norms of the scalar transfer-function entries.
 
     Entry (i, j) is the squared H2 norm of the transfer from input j to
-    output i, computed from one Lyapunov solve per input column.
+    output i, read off the controllability Gramian of input column j; one
+    stacked Lyapunov solve gives the Gramians of all columns.
     """
-    if not ss.hurwitz:
-        raise NotHurwitz("entrywise H2 norms require a Hurwitz closed loop")
-    q, p = ss.Ccl.shape[0], ss.Bcl.shape[1]
-    K = np.empty((q, p))
-    for j in range(p):
-        col = ss.Bcl[:, j : j + 1]
-        L = solve_lyapunov(ss.Acl, col @ col.T)
-        K[:, j] = np.einsum("in,nm,im->i", ss.Ccl, L, ss.Ccl)
+    L = solve_lyapunov(ss.Acl, np.einsum("nj,mj->jnm", ss.Bcl, ss.Bcl))
+    K = np.array([np.einsum("in,nm,im->i", ss.Ccl, Lj, ss.Ccl) for Lj in L]).T
     return np.maximum(K, 0.0)
 
 
 def h2_norm_squared(ss: StateSpace) -> float:
     """Total squared H2 norm via a single Lyapunov solve."""
-    if not ss.hurwitz:
-        raise NotHurwitz("H2 norm requires a Hurwitz closed loop")
     L = solve_lyapunov(ss.Acl, ss.Bcl @ ss.Bcl.T)
     return float(np.trace(ss.Ccl @ L @ ss.Ccl.T))
 
@@ -109,19 +102,8 @@ def channel_powers_awgn(plant: Plant, design, noise_density) -> np.ndarray:
     """
     N = np.asarray(noise_density, dtype=float).reshape(-1)
     ss = closed_loop(plant, design)
-    if not ss.hurwitz:
-        raise NotHurwitz("channel powers are undefined for an unstable loop")
     L = solve_lyapunov(ss.Acl, ss.Bcl @ np.diag(N) @ ss.Bcl.T)
     return np.maximum(np.einsum("in,nm,im->i", ss.Ccl, L, ss.Ccl), 0.0)
-
-
-def _scale_inputs(ss: StateSpace, phi) -> StateSpace:
-    """``ss`` with input column i scaled by ``phi[i]``; the copy shares
-    ``Acl`` and, once computed, its spectrum."""
-    scaled = StateSpace(Acl=ss.Acl, Bcl=ss.Bcl * phi, Ccl=ss.Ccl)
-    if "spectrum" in vars(ss):
-        vars(scaled)["spectrum"] = ss.spectrum
-    return scaled
 
 
 def ms_norm(ss: StateSpace, phi) -> float:
@@ -133,7 +115,7 @@ def ms_norm(ss: StateSpace, phi) -> float:
         raise InvalidInput("input scaling must be positive")
     if ss.Bcl.shape[1] != phi.size:
         raise InvalidInput("scaling length must match the input count")
-    scaled = _scale_inputs(ss, phi)
+    scaled = StateSpace(Acl=ss.Acl, Bcl=ss.Bcl * phi, Ccl=ss.Ccl)
     if scaled.Ccl.shape[0] != scaled.Bcl.shape[1]:
         raise InvalidInput("mean-square norm requires a square transfer matrix")
     K = h2_gramian_entrywise(scaled)
@@ -158,7 +140,8 @@ def _ms_loop(plant: Plant, design, ch: ChannelEnsemble) -> StateSpace:
     if design.kind != FADING:
         raise InvalidInput("design kind does not match the channel kind")
     phi = np.sqrt(ch.variance) / np.abs(ch.mean)
-    return _scale_inputs(closed_loop(plant, design), phi)
+    ss = closed_loop(plant, design)
+    return StateSpace(Acl=ss.Acl, Bcl=ss.Bcl * phi, Ccl=ss.Ccl)
 
 
 def covariance_rhs(plant: Plant, design, ch: ChannelEnsemble):
@@ -202,18 +185,18 @@ def _ms_lyapunov_coordinates(ss: StateSpace):
 
     For a mean-square stable loop P is positive definite and tr(P X) is a
     Lyapunov function of the covariance flow. With q_i = b_i'P b_i,
-    P = P0 + sum_i q_i P_i where P0 and P_i solve Lyapunov equations
-    with right-hand sides I and c_i c_i', and q solves the l x l system
-    (I - M) q = q0, M_ji = b_j'P_i b_j. The eigenvalues of P are
-    floored at 1e-15 of the largest, which keeps W invertible where
+    P = P0 + sum_i q_i P_i where P0 and P_i solve, in one stacked call, the
+    Lyapunov equations with right-hand sides I and c_i c_i', and q solves
+    the l x l system (I - M) q = q0, M_ji = b_j'P_i b_j. The eigenvalues of
+    P are floored at 1e-15 of the largest, which keeps W invertible where
     rounding leaves P indefinite; any invertible W gives an exact change
     of coordinates, only the contraction needs P. The identity when no P
     can be computed (A + BF not Hurwitz) or P has no positive eigenvalue.
     """
     n = ss.Acl.shape[0]
     try:
-        P0 = solve_lyapunov(ss.Acl.T, np.eye(n))
-        Pi = [solve_lyapunov(ss.Acl.T, np.outer(c, c)) for c in ss.Ccl]
+        Q = np.concatenate([np.eye(n)[None], np.einsum("in,im->inm", ss.Ccl, ss.Ccl)])
+        P0, *Pi = solve_lyapunov(ss.Acl.T, Q)
         M = np.array([[b @ Pc @ b for Pc in Pi] for b in ss.Bcl.T])
         q = np.linalg.solve(np.eye(len(Pi)) - M, [b @ P0 @ b for b in ss.Bcl.T])
         P = P0 + sum(qi * Pc for qi, Pc in zip(q, Pi))

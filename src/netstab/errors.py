@@ -68,6 +68,10 @@ class IllConditioned(NetstabError):
         super().__init__(f"{where}: {detail}")
 
 
+class Overflow(NetstabError):
+    """A result is too large to compute in floating point."""
+
+
 class Diverged(NetstabError):
     """A trajectory overflowed. Carries the divergence time in ``.time``."""
 

@@ -1,15 +1,17 @@
 """Dense linear-algebra kernels shared by the other modules.
 
 Everything here works on small dense matrices (desk scale). The one
-Lyapunov solver is the Schur-based Bartels-Stewart method (O(n^3) flops,
-with a residual at rounding level even on strongly non-normal
-coefficients). The zero-state-weight Riccati solver builds on it: an
-ordered real Schur form of ``A`` and one Lyapunov solve on the unstable
-part give the stabilizing solution (mirror-pole construction).
+Lyapunov solver is the Bartels-Stewart method: one real Schur form of the
+coefficient is its Hurwitz test and solves a stack of right-hand sides, each
+to a rounding-level residual even on strongly non-normal coefficients. The
+zero-state-weight Riccati solver builds on it: an ordered real Schur form of
+``A`` and one Lyapunov solve on the unstable part give the stabilizing
+solution (mirror-pole construction).
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,6 +24,7 @@ from .errors import (
     InvalidInput,
     NetstabError,
     NotHurwitz,
+    Overflow,
     Unstabilizable,
 )
 
@@ -47,17 +50,6 @@ def eig_cluster_tolerance(A):
     return 1e-8 * max(1.0, float(np.linalg.norm(A)))
 
 
-def spectral_abscissa(A) -> float:
-    """Largest real part over the spectrum of ``A``."""
-    A = _as_square(A, "A")
-    return float(np.max(np.linalg.eigvals(A).real))
-
-
-def is_hurwitz(A, margin=0.0) -> bool:
-    """True when every eigenvalue of ``A`` satisfies Re(lambda) < -margin."""
-    return spectral_abscissa(A) < -margin
-
-
 def spectral_radius(Z) -> float:
     """Largest eigenvalue modulus of an entrywise nonnegative matrix."""
     Z = _as_square(Z, "Z")
@@ -69,37 +61,56 @@ def spectral_radius(Z) -> float:
 def solve_lyapunov(Acl, Q) -> np.ndarray:
     """Solve ``Acl L + L Acl' + Q = 0`` for symmetric PSD ``Q`` and Hurwitz ``Acl``.
 
-    Uses the Bartels-Stewart method: a real Schur form of ``Acl`` reduces the
-    equation to a quasi-triangular one solved by back substitution. The
-    residual is checked on every call against ``1e-8 * max(||Q||, ||A|| ||L||)``:
-    the second term is the working scale of the linear system, which
-    dominates when the solution is much larger than the forcing.
+    ``Q`` is one n x n matrix or a (k, n, n) stack, and ``L`` has its shape.
+    One real Schur form ``Acl = U T U'`` reduces each equation to a
+    quasi-triangular one solved by back substitution (Bartels-Stewart). Each
+    residual is checked against ``1e-8 * max(||Q||, ||A|| ||L||)``: the second
+    term is the working scale of the linear system, which dominates when the
+    solution is much larger than the forcing.
 
     Raises
     ------
     NotHurwitz
-        When ``Acl`` has an eigenvalue with nonnegative real part.
+        When a diagonal entry of ``T`` (an eigenvalue's real part) is >= 0.
+    Overflow
+        When trsyl scales a solution down to keep it from overflowing.
     """
     Acl = _as_square(Acl, "Acl")
-    Q = _as_square(Q, "Q")
+    Q = np.asarray(Q, dtype=float)
     n = Acl.shape[0]
-    if Q.shape[0] != n:
-        raise InvalidInput("Acl and Q must have matching dimensions")
-    if not is_hurwitz(Acl):
-        raise NotHurwitz("Lyapunov equation requires a Hurwitz coefficient matrix")
-    Qs = 0.5 * (Q + Q.T)
+    if Q.shape[-2:] != (n, n) or Q.ndim > 3:
+        raise InvalidInput(f"Q must be {n}x{n} or a stack of them, got shape {Q.shape}")
+    Qs = 0.5 * (Q + np.swapaxes(Q, -1, -2))
+    if not np.all(np.isfinite(Qs)):
+        raise InvalidInput("Q has non-finite entries")
+    T, U = linalg.schur(Acl, output="real")
+    abscissa = np.max(np.diag(T))
+    if not abscissa < 0.0:
+        raise NotHurwitz("Lyapunov equation requires a Hurwitz coefficient matrix; "
+                         f"spectral abscissa {abscissa:.3e}")
+    L = np.empty_like(Qs)
     # no iterative refinement: the orthogonal Schur reduction already leaves
     # a rounding-level residual, and a correction solved from the rounded
     # defect of a strongly non-normal loop adds error instead of removing it
-    L = linalg.solve_continuous_lyapunov(Acl, -Qs)
-    L = 0.5 * (L + L.T)
-    residual = np.linalg.norm(Acl @ L + L @ Acl.T + Qs)
-    scale = max(np.linalg.norm(Qs), np.linalg.norm(Acl) * np.linalg.norm(L), 1e-300)
-    if residual > 1e-8 * scale:
-        raise NetstabError(
-            f"Lyapunov residual {residual:.3e} exceeds tolerance; "
-            "the coefficient matrix is too close to the stability boundary"
-        )
+    for Qk, Lk in zip(Qs.reshape(-1, n, n), L.reshape(-1, n, n)):
+        Y, shrink, info = linalg.lapack.dtrsyl(T, T, U.T.dot((-Qk).dot(U)), tranb="T")
+        if info < 0:
+            raise ValueError(f"trsyl: illegal value in argument number {-info}")
+        if info == 1:
+            warnings.warn("trsyl perturbed a near-zero eigenvalue pair sum of Acl",
+                          RuntimeWarning, stacklevel=2)
+        # trsyl returns shrink * L, shrink < 1, when L is past its overflow guard
+        if shrink < 1.0:
+            raise Overflow(f"Lyapunov solution overflows (trsyl scale {shrink:.3e})")
+        Lk[:] = U.dot(Y).dot(U.T)
+        Lk[:] = 0.5 * (Lk + Lk.T)
+        residual = np.linalg.norm(Acl @ Lk + Lk @ Acl.T + Qk)
+        scale = max(np.linalg.norm(Qk), np.linalg.norm(Acl) * np.linalg.norm(Lk), 1e-300)
+        if not residual <= 1e-8 * scale < np.inf:  # fails on inf and nan
+            raise NetstabError(
+                f"Lyapunov residual {residual:.3e} exceeds tolerance; "
+                "the coefficient matrix is too close to the stability boundary"
+            )
     return L
 
 
@@ -157,14 +168,14 @@ def solve_care_stabilizing(A, B) -> np.ndarray:
         raise InvalidInput("A and B must have matching row dimensions")
     if not np.all(np.isfinite(B)):
         raise InvalidInput("B has non-finite entries")
-    if np.any(np.abs(np.linalg.eigvals(A).real) < TAU_AXIS):
+    T, U, sdim = linalg.schur(A, sort="lhp", check_finite=False)
+    if np.any(np.abs(np.diag(T)) < TAU_AXIS):
         raise AxisEigenvalue(
             "A has an eigenvalue on the imaginary axis; the stabilizing "
             "Riccati solution is not defined"
         )
     if not stabilizable_pbh(A, B):
         raise Unstabilizable("(A, B) is not stabilizable")
-    T, U, sdim = linalg.schur(A, sort="lhp", check_finite=False)
     if sdim == n:
         return np.zeros((n, n))
     Uu = U[:, sdim:]
@@ -184,7 +195,7 @@ def solve_care_stabilizing(A, B) -> np.ndarray:
     residual = np.linalg.norm(A.T @ X + X @ A - X @ BBt @ X)
     if residual > 1e-8 * max(1.0, np.linalg.norm(X) ** 2):
         raise ill_conditioned(f"Riccati residual {residual:.3e} exceeds tolerance")
-    if not is_hurwitz(A - BBt @ X):
+    if not np.max(np.linalg.eigvals(A - BBt @ X).real) < 0.0:
         raise ill_conditioned("Riccati closed loop failed the Hurwitz check")
     min_eig = float(np.min(np.linalg.eigvalsh(X)))
     if min_eig < -1e-8 * max(1.0, np.linalg.norm(X)):

@@ -4,9 +4,9 @@ A problem file is a YAML document with a fixed schema: a plant (state and
 input matrices, optional initial state), a channel ensemble, and optional
 solver options. The key sets and the channel field table below are the one
 statement of that schema: each channel kind names its two vector fields,
-which must have equal length. Unknown keys and duplicate keys are rejected
-with their line numbers; matrix literals are row-major nested arrays of
-numbers.
+the only ones it accepts, which must have equal length. Unknown keys and
+duplicate keys are rejected with their line numbers; matrix literals are
+row-major nested arrays of numbers.
 """
 
 from __future__ import annotations
@@ -164,6 +164,7 @@ def parse_problem_file(text: str) -> ProblemFile:
             line=ch_map.lines.get("kind"),
         )
     context, (first, second) = _CHANNEL_FIELDS[kind]
+    _reject_unknown(ch_map, {"kind", first, second}, context)
     fields = {name: _array(ch_map, name, context, 1) for name in (first, second)}
     if fields[first].size != fields[second].size:
         raise DimensionMismatch(f"{first} and {second} differ in length")

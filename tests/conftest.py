@@ -1,8 +1,12 @@
 """Shared fixtures: the four-state benchmark plant and its two channel banks,
-and the single-input conditioning ladder."""
+the single-input conditioning ladder, and a counter of eigen-solves and Schur
+forms."""
+
+from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import linalg
 
 from netstab import ChannelEnsemble, Plant
 
@@ -36,6 +40,22 @@ def bench_fading():
     return ChannelEnsemble(
         kind="fading", mean=[2.0, 0.6, 0.9], variance=[0.35, 0.2, 0.25]
     )
+
+
+@pytest.fixture
+def factorizations(monkeypatch):
+    """Counter of the ``np.linalg.eigvals`` ("eigvals") and
+    ``scipy.linalg.schur`` ("schur") calls made while the test runs."""
+    counts = Counter()
+
+    def counted(key, func):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return func(*args, **kwargs)
+        return wrapper
+    monkeypatch.setattr(np.linalg, "eigvals", counted("eigvals", np.linalg.eigvals))
+    monkeypatch.setattr(linalg, "schur", counted("schur", linalg.schur))
+    return counts
 
 
 def nearest_isometry(U):

@@ -9,6 +9,8 @@ from scipy import linalg
 from conftest import U_BENCH_FADING, nearest_isometry
 from netstab.analysis import (
     StateSpace,
+    _ms_loop,
+    _ms_lyapunov_coordinates,
     _sample_grid,
     analyze,
     channel_powers_awgn,
@@ -115,6 +117,15 @@ class TestEntrywiseGramians:
             assert_allclose(
                 K.sum(), h2_norm_squared(ss), rtol=1e-8, atol=1e-10
             )
+
+    def test_one_schur_form_for_all_columns(self, factorizations):
+        rng = np.random.default_rng(9)
+        A = rng.normal(size=(4, 4))
+        A -= (np.max(np.linalg.eigvals(A).real) + 0.4) * np.eye(4)
+        ss = StateSpace(Acl=A, Bcl=rng.normal(size=(4, 3)), Ccl=rng.normal(size=(3, 4)))
+        factorizations.clear()
+        h2_gramian_entrywise(ss)
+        assert factorizations == {"schur": 1}
 
 
 class TestChannelPowers:
@@ -391,6 +402,17 @@ class TestMeanSquareOperator:
             expected = rhs(X).ravel(order="F")
             got = L @ X.ravel(order="F")
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_lyapunov_coordinates_take_one_schur_form(
+        self, bench_plant, bench_fading, factorizations
+    ):
+        design = codesign(bench_plant, bench_fading).design
+        ss = _ms_loop(bench_plant, design, bench_fading)
+        factorizations.clear()
+        W, Winv = _ms_lyapunov_coordinates(ss)
+        assert factorizations == {"schur": 1}
+        assert not np.array_equal(W, np.eye(4))
+        assert_allclose(W @ Winv, np.eye(4), atol=1e-12)
 
     def test_demo_abscissa_matches_extended_precision(self, bench_plant, bench_fading):
         design = codesign(bench_plant, bench_fading).design

@@ -10,7 +10,9 @@ from netstab.errors import (
     Diverged,
     IllConditioned,
     InvalidInput,
+    NetstabError,
     NotHurwitz,
+    Overflow,
     Unstabilizable,
 )
 from netstab.numerics import (
@@ -49,6 +51,56 @@ class TestLyapunov:
         with pytest.raises(NotHurwitz):
             solve_lyapunov(np.array([[1.0]]), np.array([[1.0]]))
 
+    def test_not_hurwitz_names_the_abscissa(self):
+        # a rotation: the 2 x 2 Schur block has zero diagonal
+        with pytest.raises(NotHurwitz, match="spectral abscissa 0.000e"):
+            solve_lyapunov(np.array([[0.0, 1.0], [-1.0, 0.0]]), np.eye(2))
+
+    def test_stack_matches_single_solves_and_scipy_bit_for_bit(self):
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            n, k = rng.integers(1, 7), rng.integers(1, 5)
+            A = rng.normal(size=(n, n))
+            A -= (np.max(np.linalg.eigvals(A).real) + 0.3) * np.eye(n)
+            W = rng.normal(size=(k, n, n))
+            Q = W @ np.swapaxes(W, 1, 2)
+            Q = 0.5 * (Q + np.swapaxes(Q, 1, 2))
+            L = solve_lyapunov(A, Q)
+            assert L.shape == (k, n, n)
+            for Qj, Lj in zip(Q, L):
+                assert np.array_equal(Lj, solve_lyapunov(A, Qj))
+                X = linalg.solve_continuous_lyapunov(A, -Qj)
+                assert np.array_equal(Lj, 0.5 * (X + X.T))
+
+    def test_stack_of_one_keeps_its_shape(self):
+        L = solve_lyapunov(np.diag([-1.0, -2.0]), np.eye(2)[None])
+        assert L.shape == (1, 2, 2)
+        assert_allclose(L[0], np.diag([0.5, 0.25]))
+
+    @pytest.mark.parametrize("Q", [np.ones((2, 3, 3)), np.ones((1, 1, 2, 2)), np.ones(2)])
+    def test_rejects_bad_stack_shapes(self, Q):
+        with pytest.raises(InvalidInput):
+            solve_lyapunov(-np.eye(2), Q)
+
+    def test_one_failing_right_hand_side_fails_the_stack(self):
+        A = -1e-10 * np.eye(2)
+        with pytest.raises(Overflow):
+            solve_lyapunov(A, np.stack([np.eye(2), 1e300 * np.eye(2)]))
+        with pytest.raises(InvalidInput):
+            solve_lyapunov(A, np.stack([np.eye(2), np.full((2, 2), np.nan)]))
+
+    def test_overflowing_solution_is_typed(self):
+        # the exact solution is 5e309 I; trsyl returns it scaled by 1e-300
+        with pytest.raises(Overflow, match="trsyl scale 1.000e-300"):
+            solve_lyapunov(-1e-10 * np.eye(2), 1e300 * np.eye(2))
+
+    def test_non_finite_residual_fails_closed(self):
+        # trsyl does not scale, but ||A|| ||L|| and the residual overflow
+        A = np.array([[-1e10, 1e20], [0.0, -1e10]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(NetstabError, match="residual inf"):
+                solve_lyapunov(A, 1e250 * np.eye(2))
+
 
 class TestRiccati:
     def test_scalar_unstable(self):
@@ -72,6 +124,10 @@ class TestRiccati:
     def test_unstabilizable_rejected(self):
         with pytest.raises(Unstabilizable):
             solve_care_stabilizing(np.array([[1.0]]), np.array([[0.0]]))
+
+    def test_axis_eigenvalue_reported_ahead_of_unstabilizable(self):
+        with pytest.raises(AxisEigenvalue):
+            solve_care_stabilizing(np.diag([1.0, 0.0]), np.zeros((2, 1)))
 
     def test_mirror_spectrum_and_optimal_energy(self):
         # closed loop mirrors the unstable spectrum; for antistable A the

@@ -218,6 +218,12 @@ INGESTION_ERRORS = [
      "line 18: seed must be an integer", 18),
     ("top-not-mapping", "- 1\n- 2\n", ParseError,
      "problem file must be a mapping at the top level", None),
+    ("awgn-with-fading-field",
+     AWGN_DOC.replace("noise_density: [1, 1, 1]", "noise_density: [1, 1, 1]\n  mean: [5, 5, 5]"),
+     ParseError, "line 17: unknown key 'mean' in AWGN channels", 17),
+    ("fading-with-awgn-field",
+     FADING_DOC.replace("kind: fading", "kind: fading\n  power: [9, 9, 9]"),
+     ParseError, "line 15: unknown key 'power' in fading channels", 15),
 ]
 
 

@@ -258,6 +258,18 @@ class TestCli:
         assert exc.value.code == 2
         assert "frobnicate" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, problem, bound", [
+        ("codesign", "demo_awgn.yaml", 19),
+        ("codesign", "demo_fading.yaml", 22),
+        ("simulate", "demo_fading.yaml", 23),
+    ])
+    def test_demo_eigen_solve_count(self, tmp_path, factorizations, command, problem, bound):
+        # the Lyapunov kernel reads its Hurwitz test off its own Schur form
+        path = os.path.join(PROBLEMS, problem)
+        assert self.run(command, path, "--format", "machine",
+                        "--out", str(tmp_path / "out.json")) == 0
+        assert factorizations["eigvals"] <= bound
+
     def test_decompose(self, tmp_path):
         out = tmp_path / "dec.json"
         assert self.run("decompose", AWGN_FILE, "--format", "machine",
