@@ -5,13 +5,13 @@ Lyapunov solver is the Bartels-Stewart method: one real Schur form of the
 coefficient is its Hurwitz test and solves a stack of right-hand sides, each
 to a rounding-level residual even on strongly non-normal coefficients. The
 zero-state-weight Riccati solver builds on it: an ordered real Schur form of
-``A`` and one Lyapunov solve on the unstable part give the stabilizing
-solution (mirror-pole construction).
+``A``, whose diagonal blocks also give the eigenvalues of its PBH test, and one
+Lyapunov solve on the unstable part give the stabilizing solution
+(mirror-pole construction).
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +34,9 @@ TAU_AXIS = 1e-9
 
 #: Stage named by the errors of the Riccati gain kernel.
 RICCATI = "riccati gain"
+
+#: Stage named by the errors of the Lyapunov kernel.
+LYAPUNOV = "lyapunov solve"
 
 
 def _as_square(A, name="matrix"):
@@ -74,6 +77,9 @@ def solve_lyapunov(Acl, Q) -> np.ndarray:
         When a diagonal entry of ``T`` (an eigenvalue's real part) is >= 0.
     Overflow
         When trsyl scales a solution down to keep it from overflowing.
+    IllConditioned
+        When two eigenvalues of ``Acl`` sum to nearly zero relative to ``||T||``
+        and trsyl perturbs them; carries ``||T|| / min |lambda_i + lambda_j|``.
     """
     Acl = _as_square(Acl, "Acl")
     Q = np.asarray(Q, dtype=float)
@@ -97,8 +103,13 @@ def solve_lyapunov(Acl, Q) -> np.ndarray:
         if info < 0:
             raise ValueError(f"trsyl: illegal value in argument number {-info}")
         if info == 1:
-            warnings.warn("trsyl perturbed a near-zero eigenvalue pair sum of Acl",
-                          RuntimeWarning, stacklevel=2)
+            # trsyl perturbed an eigenvalue pair sum below its guard of about
+            # eps ||T||, so Y solves a different equation
+            lam = _quasi_triangular_eigenvalues(T)
+            gap = np.min(np.abs(lam[:, None] + lam[None, :])) / np.linalg.norm(T)
+            raise IllConditioned(LYAPUNOV, 1.0 / gap,
+                                 f"smallest |lambda_i + lambda_j| of Acl is {gap:.3e} "
+                                 "of ||T||, below trsyl's perturbation guard")
         # trsyl returns shrink * L, shrink < 1, when L is past its overflow guard
         if shrink < 1.0:
             raise Overflow(f"Lyapunov solution overflows (trsyl scale {shrink:.3e})")
@@ -114,14 +125,24 @@ def solve_lyapunov(Acl, Q) -> np.ndarray:
     return L
 
 
-def pbh_failures(A, B, rank_tol=1e-8) -> tuple:
-    """Eigenvalues with Re(lambda) >= -TAU_AXIS at which the PBH rank test
-    fails, i.e. rank [A - lambda I, B] < n (relative to ``rank_tol``)."""
-    A = _as_square(A, "A")
-    B = np.asarray(B, dtype=float)
+def _quasi_triangular_eigenvalues(T):
+    """Eigenvalues of a real Schur form ``T``, read off its diagonal blocks.
+
+    LAPACK standardizes each 2 x 2 block to ``[[a, b], [c, a]]`` with
+    ``bc < 0``, whose eigenvalues are ``a +- i sqrt(-bc)``."""
+    lam = np.diag(T).astype(complex)
+    for i in np.flatnonzero(np.diag(T, -1)):
+        im = np.sqrt(-T[i, i + 1] * T[i + 1, i])
+        lam[i] += 1j * im
+        lam[i + 1] -= 1j * im
+    return lam
+
+
+def _rank_failures(A, B, eigenvalues, rank_tol=1e-8):
+    """The ``eigenvalues`` with Re >= -TAU_AXIS at which rank [A - lambda I, B] < n."""
     n = A.shape[0]
     failures = []
-    for lam in np.linalg.eigvals(A):
+    for lam in eigenvalues:
         if lam.real < -TAU_AXIS:
             continue
         pencil = np.hstack([A - lam * np.eye(n), B.astype(complex)])
@@ -129,6 +150,13 @@ def pbh_failures(A, B, rank_tol=1e-8) -> tuple:
         if sv[-1] <= rank_tol * sv[0]:
             failures.append(complex(lam))
     return tuple(failures)
+
+
+def pbh_failures(A, B, rank_tol=1e-8) -> tuple:
+    """Eigenvalues with Re(lambda) >= -TAU_AXIS at which the PBH rank test
+    fails, i.e. rank [A - lambda I, B] < n (relative to ``rank_tol``)."""
+    A = _as_square(A, "A")
+    return _rank_failures(A, np.asarray(B, dtype=float), np.linalg.eigvals(A), rank_tol)
 
 
 def stabilizable_pbh(A, B, rank_tol=1e-8) -> bool:
@@ -174,7 +202,9 @@ def solve_care_stabilizing(A, B) -> np.ndarray:
             "A has an eigenvalue on the imaginary axis; the stabilizing "
             "Riccati solution is not defined"
         )
-    if not stabilizable_pbh(A, B):
+    # past the axis check every eigenvalue the PBH test visits is in the
+    # unstable block, which the sort put last
+    if _rank_failures(A, B, _quasi_triangular_eigenvalues(T[sdim:, sdim:])):
         raise Unstabilizable("(A, B) is not stabilizable")
     if sdim == n:
         return np.zeros((n, n))

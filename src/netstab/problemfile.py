@@ -7,6 +7,12 @@ statement of that schema: each channel kind names its two vector fields,
 the only ones it accepts, which must have equal length. Unknown keys and
 duplicate keys are rejected with their line numbers; matrix literals are
 row-major nested arrays of numbers.
+
+libyaml's C scanner and parser (``yaml.CSafeLoader``) read the document when
+PyYAML was built with it, and PyYAML's pure-Python ones otherwise. Either way
+PyYAML's Python resolver and safe constructor build the values, so a number
+is a number by the same rules and every value and line map is the same;
+syntax errors carry the same line, in libyaml's or PyYAML's wording.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ class _TrackedDict(dict):
         self.start_line: int = 0
 
 
-class _StrictLoader(yaml.SafeLoader):
+class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     pass
 
 

@@ -16,7 +16,9 @@ from netstab.errors import (
     Unstabilizable,
 )
 from netstab.numerics import (
+    LYAPUNOV,
     RICCATI,
+    _quasi_triangular_eigenvalues,
     integrate_linear_matrix_ode,
     solve_care_stabilizing,
     solve_lyapunov,
@@ -101,6 +103,25 @@ class TestLyapunov:
             with pytest.raises(NetstabError, match="residual inf"):
                 solve_lyapunov(A, 1e250 * np.eye(2))
 
+    def test_perturbed_eigenvalue_pair_is_typed(self):
+        # lambda_1 + lambda_2 = -2e-10 against ||T|| = 1e10: trsyl perturbs the
+        # sum, and its indefinite L (L_11 = -1.8e37) passes the residual check;
+        # the solution has L_11 = 2.5e49
+        A = np.array([[-1e-10, 1e10], [0.0, -1e-10]])
+        with pytest.raises(IllConditioned, match=r"smallest \|lambda_i \+ lambda_j\| "
+                           r"of Acl is 2\.000e-20 of \|\|T\|\|") as err:
+            solve_lyapunov(A, np.eye(2))
+        assert err.value.stage == LYAPUNOV
+        assert err.value.cond == pytest.approx(5e19)
+
+    def test_schur_form_eigenvalues_match_eigvals(self):
+        rng = np.random.default_rng(13)
+        for _ in range(50):
+            M = rng.normal(size=(rng.integers(1, 9),) * 2)
+            T = linalg.schur(M, sort="lhp")[0]
+            assert_allclose(np.sort_complex(_quasi_triangular_eigenvalues(T)),
+                            np.sort_complex(np.linalg.eigvals(M)), atol=1e-10)
+
 
 class TestRiccati:
     def test_scalar_unstable(self):
@@ -124,6 +145,22 @@ class TestRiccati:
     def test_unstabilizable_rejected(self):
         with pytest.raises(Unstabilizable):
             solve_care_stabilizing(np.array([[1.0]]), np.array([[0.0]]))
+
+    def test_unreached_complex_pair_is_unstabilizable(self):
+        # the pair 1 +- 2i sits in a 2 x 2 Schur block; S e_3 reaches only the
+        # stable mode, S (e_1 + e_3) reaches the pair too
+        S, _ = np.linalg.qr(np.random.default_rng(14).normal(size=(3, 3)))
+        A = S @ linalg.block_diag([[1.0, 2.0], [-2.0, 1.0]], [[-1.0]]) @ S.T
+        with pytest.raises(Unstabilizable):
+            solve_care_stabilizing(A, S @ [[0.0], [0.0], [1.0]])
+        b = S @ [[1.0], [0.0], [1.0]]
+        X = solve_care_stabilizing(A, b)
+        assert np.max(np.linalg.eigvals(A - b @ b.T @ X).real) < 0
+
+    def test_pbh_reads_the_sorted_schur_form(self, factorizations):
+        # the closed-loop Hurwitz check is the one eigen-solve left
+        solve_care_stabilizing(*ladder_block(0, 8))
+        assert factorizations["eigvals"] == 1
 
     def test_axis_eigenvalue_reported_ahead_of_unstabilizable(self):
         with pytest.raises(AxisEigenvalue):

@@ -1,11 +1,16 @@
+import pathlib
 import textwrap
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from netstab import problemfile
 from netstab.errors import DimensionMismatch, InvariantViolation, NetstabError, ParseError
-from netstab.problemfile import parse_problem_file
+from netstab.problemfile import _construct_mapping, _StrictLoader, parse_problem_file
 
 AWGN_DOC = textwrap.dedent(
     """\
@@ -244,3 +249,137 @@ def test_ingestion_error_is_pinned(doc, exc_type, message, line):
 def test_options_are_optional():
     pf = parse_problem_file(FADING_DOC.replace(OPTIONS_SECTION, ""))
     assert pf.options == {} and pf.channels.kind == "fading"
+
+
+# (id, document, .line): syntax errors keep their line under either scanner;
+# the wording after the prefix is the scanner's own
+SYNTAX_ERRORS = [
+    ("tab-indent", "plant:\n  A: [[1]]\n\tB: [[1]]\n", 3),
+    ("unclosed-flow-sequence", "plant:\n  A: [[1, 2]\n  B: [[1]]\n", 3),
+    ("undefined-alias", "plant:\nA: *x\n", 2),
+    ("mapping-in-scalar", "plant:\n  A: [[1]]\nB: a: b\n", 3),
+]
+
+
+class _PurePythonLoader(yaml.SafeLoader):
+    """PyYAML's pure-Python scanner and parser under the strict mapping constructor."""
+
+
+_PurePythonLoader.add_constructor(
+    yaml.resolver.BaseResolver.DEFAULT_MAPPING_TAG, _construct_mapping
+)
+
+
+def _parse_with(loader, text):
+    """``parse_problem_file(text)`` scanned by ``loader``: the ProblemFile, or
+    the type and message of the error it raised."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(problemfile, "_StrictLoader", loader)
+        try:
+            return parse_problem_file(text)
+        except NetstabError as exc:
+            return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def _tree(node):
+    """A loaded document as nested tuples: each mapping with its start line and
+    per-key lines, each float by its bits, so -0.0 and 0.0 differ."""
+    if isinstance(node, dict):
+        return ("map", node.start_line,
+                tuple((key, node.lines[key], _tree(value)) for key, value in node.items()))
+    if isinstance(node, list):
+        return ("seq", tuple(_tree(value) for value in node))
+    if isinstance(node, float):
+        return ("float", node.hex())
+    return (type(node).__name__, node)
+
+
+def _same_bits(a, b):
+    return (a is None and b is None) or (
+        np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def assert_loaders_agree(text):
+    trees = [_tree(yaml.load(text, Loader=loader))
+             for loader in (_StrictLoader, _PurePythonLoader)]
+    assert trees[0] == trees[1]
+    fast, pure = (_parse_with(loader, text) for loader in (_StrictLoader, _PurePythonLoader))
+    if not isinstance(fast, problemfile.ProblemFile):
+        assert fast == pure
+        return
+    assert isinstance(pure, problemfile.ProblemFile)
+    for name in ("A", "B", "x0"):
+        assert _same_bits(getattr(fast.plant, name), getattr(pure.plant, name))
+    assert fast.channels.kind == pure.channels.kind
+    for name in ("power", "noise_density", "mean", "variance"):
+        assert _same_bits(getattr(fast.channels, name), getattr(pure.channels, name))
+    assert fast.options == pure.options
+
+
+@pytest.mark.parametrize("doc, line", [case[1:] for case in SYNTAX_ERRORS],
+                         ids=[case[0] for case in SYNTAX_ERRORS])
+def test_syntax_error_is_pinned(doc, line):
+    with pytest.raises(NetstabError) as err:
+        parse_problem_file(doc)
+    assert type(err.value) is ParseError
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: invalid document syntax: ")
+    assert _parse_with(_PurePythonLoader, doc)[2] == line
+
+
+def test_libyaml_scans_when_built_in():
+    # a silent fall back to the pure-Python scanner parses each file 4-6x slower
+    expected = yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader
+    assert issubclass(_StrictLoader, expected)
+
+
+@pytest.mark.parametrize("path", sorted(
+    (pathlib.Path(__file__).parent.parent / "problems").glob("*.yaml")), ids=lambda p: p.name)
+def test_loaders_agree_on_the_demo_problems(path):
+    assert_loaders_agree(path.read_text(encoding="utf-8"))
+
+
+def _yaml_float(x):
+    # repr, with a decimal point: YAML 1.1 reads "1e+308" as a string
+    text = repr(x)
+    return text if "." in text or "e" not in text else text.replace("e", ".0e")
+
+
+_NUMBERS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False).map(_yaml_float),
+    st.sampled_from([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1.7976931348623157e308,
+                     2.2250738585072014e-308]).map(_yaml_float),
+    st.integers(-(10**20), 10**20).map(str),
+)
+# scalars whose reading is the resolver's: a string, inf, nan, null, base 60 and 16
+_RESOLVED = st.sampled_from(["1e3", ".inf", "-.Inf", ".nan", "~", "0x1A", "1:30", "1_000", "+.5"])
+
+
+@st.composite
+def problem_documents(draw):
+    n = draw(st.integers(1, 5))
+    m = draw(st.integers(1, 3))
+    entries = _NUMBERS | _RESOLVED if draw(st.booleans()) else _NUMBERS
+    rows = draw(st.lists(st.lists(entries, min_size=n + m, max_size=n + m),
+                         min_size=n, max_size=n))
+    nested = draw(st.booleans())
+    lines = ["plant:"]
+    for key, cols in (("A", slice(0, n)), ("B", slice(n, n + m))):
+        literal = ["[" + ", ".join(row[cols]) + "]" for row in rows]
+        if nested:
+            lines.append(f"  {key}: [{', '.join(literal)}]")
+        else:
+            lines += [f"  {key}:"] + [f"    - {row}" for row in literal]
+    power = draw(st.lists(st.floats(1e-3, 1e3).map(_yaml_float), min_size=1, max_size=4))
+    lines += ["channels:", "  kind: awgn", f"  power: [{', '.join(power)}]",
+              f"  noise_density: [{', '.join(['1'] * len(power))}]"]
+    epsilon = draw(st.none() | st.floats(1e-6, 1.0).map(_yaml_float))
+    if epsilon is not None:
+        lines += ["options:", f"  epsilon: {epsilon}", f"  seed: {draw(st.integers(0, 99))}"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(problem_documents())
+def test_loaders_agree_on_generated_problems(text):
+    assert_loaders_agree(text)

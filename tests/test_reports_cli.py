@@ -259,12 +259,13 @@ class TestCli:
         assert "frobnicate" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command, problem, bound", [
-        ("codesign", "demo_awgn.yaml", 19),
-        ("codesign", "demo_fading.yaml", 22),
-        ("simulate", "demo_fading.yaml", 23),
+        ("codesign", "demo_awgn.yaml", 17),
+        ("codesign", "demo_fading.yaml", 20),
+        ("simulate", "demo_fading.yaml", 21),
     ])
     def test_demo_eigen_solve_count(self, tmp_path, factorizations, command, problem, bound):
-        # the Lyapunov kernel reads its Hurwitz test off its own Schur form
+        # the Lyapunov kernel reads its Hurwitz test, and the Riccati kernel its
+        # PBH eigenvalues, off their own Schur forms
         path = os.path.join(PROBLEMS, problem)
         assert self.run(command, path, "--format", "machine",
                         "--out", str(tmp_path / "out.json")) == 0
