@@ -13,6 +13,7 @@ positive (valid / feasible / stabilized / converged), 1 a negative verdict,
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import analysis, reports
@@ -47,7 +48,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser():
+    """The command-line parser, built once per process: ``parse_args``
+    leaves it as it is."""
     parser = argparse.ArgumentParser(
         prog="netstab",
         formatter_class=argparse.RawDescriptionHelpFormatter,

@@ -31,9 +31,9 @@ from .errors import (
 from .numerics import (
     TAU_AXIS,
     _as_square,
+    _rank_failures,
     eig_cluster_tolerance,
     pbh_failures,
-    stabilizable_pbh,
 )
 from .plantmodel import Plant
 
@@ -279,8 +279,8 @@ def _remix(cl, rows, qs, P):
         P[:, s : s + wdt] = P[:, s : s + wdt] @ Z.real
 
 
-def _block_entropy(Ai):
-    ev = np.linalg.eigvals(Ai)
+def _entropy(ev):
+    """Topological entropy of a spectrum: the sum of its unstable real parts."""
     return float(np.sum(ev.real[ev.real > TAU_AXIS]))
 
 
@@ -356,7 +356,7 @@ def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
     pairs = tuple(
         (blocks[j], Bs[offsets[j] : offsets[j + 1], j].copy()) for j in range(k)
     )
-    h = np.array([_block_entropy(Ai) for Ai, _ in pairs])
+    h = np.array([_entropy(np.linalg.eigvals(Ai)) for Ai, _ in pairs])
     result = CyclicDecomposition(P=P, Q=Q, blocks=pairs, k=k, h=h, seed=seed)
 
     report = verify_decomposition(plant, result)
@@ -424,15 +424,16 @@ def verify_decomposition(plant: Plant, d: CyclicDecomposition) -> DecompositionR
     checks.append(("input_staircase", res_stair <= 1e-7 * scaleB, res_stair))
     checks.append(("diagonal_columns_match", res_diag <= 1e-9 * scaleB, res_diag))
 
-    stab = all(stabilizable_pbh(Ai, bi.reshape(-1, 1)) for Ai, bi in d.blocks)
+    # one spectrum per block feeds the PBH, nesting and entropy checks
+    spectra = [np.linalg.eigvals(Ai) for Ai, _ in d.blocks]
+    stab = not any(_rank_failures(Ai, bi.reshape(-1, 1), ev)
+                   for (Ai, bi), ev in zip(d.blocks, spectra))
     checks.append(("blocks_stabilizable", stab, 0.0))
 
     tau = eig_cluster_tolerance(A)
     nested = True
     worst = 0.0
-    for j in range(d.k - 1):
-        ev_next = np.linalg.eigvals(d.blocks[j + 1][0])
-        ev_this = np.linalg.eigvals(d.blocks[j][0])
+    for ev_this, ev_next in zip(spectra, spectra[1:]):
         for lam in ev_next:
             gap = float(np.min(np.abs(ev_this - lam)))
             worst = max(worst, gap)
@@ -444,7 +445,7 @@ def verify_decomposition(plant: Plant, d: CyclicDecomposition) -> DecompositionR
     checks.append(("entropies_nonincreasing", h_ok, 0.0))
 
     h_res = float(
-        np.max(np.abs(d.h - np.array([_block_entropy(Ai) for Ai, _ in d.blocks])))
+        np.max(np.abs(d.h - np.array([_entropy(ev) for ev in spectra])))
     ) if d.k else 0.0
     checks.append(("entropies_match_blocks", h_res <= 1e-8, h_res))
 

@@ -237,8 +237,11 @@ def solve_care_stabilizing(A, B) -> np.ndarray:
 class MatrixTrajectory:
     """Sampled solution of a matrix ODE.
 
-    ``states[i]`` is the (symmetrized) matrix at ``times[i]``. When the
-    solution overflowed, ``diverged_at`` holds the time of the first sample
+    ``states[i]`` is the matrix at ``times[i]``. Its producers,
+    :func:`integrate_linear_matrix_ode` and
+    ``analysis.simulate_fading_covariance``, write exactly symmetric states
+    (equal to their transposes bit for bit), which the machine and table
+    writers format from the upper triangle. When the solution overflowed, ``diverged_at`` holds the time of the first sample
     past the overflow limit (non-finite, or an entry above 1e150) and the
     trajectory ends at the last sample before it.
     """

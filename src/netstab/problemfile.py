@@ -6,7 +6,9 @@ solver options. The key sets and the channel field table below are the one
 statement of that schema: each channel kind names its two vector fields,
 the only ones it accepts, which must have equal length. Unknown keys and
 duplicate keys are rejected with their line numbers; matrix literals are
-row-major nested arrays of numbers.
+row-major nested arrays of numbers, and a string, boolean or null inside one
+is rejected. YAML 1.1 reads ``1e3`` and ``1.0e3`` as strings: a number in
+exponent form needs a decimal point and a signed exponent, ``1.0e+3``.
 
 libyaml's C scanner and parser (``yaml.CSafeLoader``) read the document when
 PyYAML was built with it, and PyYAML's pure-Python ones otherwise. Either way
@@ -17,6 +19,8 @@ syntax errors carry the same line, in libyaml's or PyYAML's wording.
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,6 +38,11 @@ _TOP_KEYS = {"plant", "channels", "options"}
 _PLANT_KEYS = {"A", "B", "x0"}
 _CHANNEL_KEYS = {"kind"}.union(*(names for _, names in _CHANNEL_FIELDS.values()))
 _OPTION_KEYS = {"epsilon", "t_end", "dt", "seed"}
+
+#: A number in exponent form that YAML 1.1 leaves a string, for want of a
+#: decimal point or of the exponent's sign: mantissa, exponent letter, sign,
+#: digits.
+_EXPONENT_TEXT = re.compile(r"\s*([-+]?(?:\d+\.?\d*|\.\d+))([eE])([-+]?)(\d+)\s*")
 
 
 class _TrackedDict(dict):
@@ -91,9 +100,31 @@ def _section(raw, key, allowed):
     return mapping
 
 
+def _not_a_number(entry):
+    """Why a matrix-literal entry is not a number, for the error message."""
+    if isinstance(entry, bool):
+        return (f"{entry!r} is a boolean; YAML 1.1 reads yes/no, on/off and "
+                f"true/false as booleans")
+    if entry is None:
+        return "null is not a number"
+    if not isinstance(entry, str):
+        return f"{entry!r} is a {type(entry).__name__}"
+    reason = f"{entry!r} is a string"
+    parts = _EXPONENT_TEXT.fullmatch(entry)
+    if parts is not None:
+        mantissa, letter, sign, digits = parts.groups()
+        if "." not in mantissa:
+            mantissa += ".0"
+        reason += (f"; YAML 1.1 reads a number in exponent form as a string unless "
+                   f"it has a decimal point and a signed exponent: write "
+                   f"{mantissa}{letter}{sign or '+'}{digits}")
+    return reason
+
+
 def _array(mapping, key, context, ndim):
     """The required ``mapping[key]`` as a nonempty float array of ``ndim``
-    (1 or 2) dimensions; ``context`` names the mapping in messages."""
+    (1 or 2) dimensions, every entry a YAML int or float; ``context`` names
+    the mapping in messages."""
     value = _require(mapping, key, context)
     line = mapping.lines.get(key)
     what = "rectangular numeric array" if ndim == 2 else "numeric vector"
@@ -103,6 +134,10 @@ def _array(mapping, key, context, ndim):
         raise ParseError(f"{key} must be a {what}", line=line)
     if arr.ndim != ndim or arr.size == 0:
         raise ParseError(f"{key} must be a nonempty {ndim}-d array", line=line)
+    entries = value if ndim == 1 else itertools.chain.from_iterable(value)
+    for entry in entries:
+        if type(entry) is not float and type(entry) is not int:
+            raise ParseError(f"{key} must be a {what}: {_not_a_number(entry)}", line=line)
     return arr
 
 

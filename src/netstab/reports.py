@@ -15,6 +15,14 @@ the complex vectors ``eigenvalues``, ``pbh_failures`` and
 every value is real, and ``blocks`` travels as a list of ``{"A", "b"}``
 objects. Keys are sorted and the separators carry no spaces, so equal
 reports give equal bytes.
+
+A trajectory's ``states`` stack is written from its upper triangle: when
+the stack equals its transpose bit for bit, one encoder call formats the
+triangle entries of every sample, and a mirror index map scatters the texts
+into row-major order; any other stack is written through the identity map.
+The bytes are those ``json.dumps`` writes for ``states.tolist()``, NaN and
+infinities included. The ``table`` format writes its cells through the same
+map. Every other document is one ``json.dumps`` call.
 """
 
 from __future__ import annotations
@@ -57,6 +65,11 @@ _REPORT_TYPES = tuple(_SCHEMAS.values())
 #: Fields that travel as ``[re, im]`` pairs.
 _COMPLEX_FIELDS = {"eigenvalues", "pbh_failures", "closed_loop_spectrum"}
 
+#: The field holding a stack of matrices, and what stands for it in the
+#: encoded payload until :func:`_stack_json` writes it.
+_STACK_FIELD = "states"
+_STACK = "\x00stack"
+
 
 @functools.cache
 def _fields(cls):
@@ -70,6 +83,8 @@ def _encode(name, value):
     if name in _COMPLEX_FIELDS:
         z = np.asarray(value, dtype=complex).ravel()
         return np.stack([z.real, z.imag], axis=-1).tolist()
+    if name == _STACK_FIELD:
+        return _STACK
     if isinstance(value, np.ndarray):
         return np.asarray(value, dtype=float).tolist()
     if name == "blocks":
@@ -109,11 +124,61 @@ def _decode(tp, name, value):
     return _tuples(value)
 
 
+def _mirror_map(states):
+    """``(columns, order)`` of a stack flattened to ``(N, n*n)``: the columns
+    whose entries are formatted, and for each row-major entry the position
+    in ``columns`` of the one whose text it takes. A stack equal to its
+    transpose bit for bit (so 0.0 is not -0.0) takes the upper triangle and
+    its mirror, any other stack every entry as itself."""
+    n = states.shape[-1]
+    bits = states.view(np.uint64)
+    if not np.array_equal(bits, bits.swapaxes(-1, -2)):
+        every = np.arange(n * n)
+        return every, every
+    i, j = np.triu_indices(n)
+    order = np.empty((n, n), dtype=np.intp)
+    order[i, j] = order[j, i] = np.arange(i.size)
+    return i * n + j, order.ravel()
+
+
+def _interleave(cells, width, order, seps):
+    """The rows of ``width`` texts each, read row-major from ``cells``: each
+    row in ``order``, every text followed by its separator in ``seps``."""
+    count = len(cells) // width
+    out = [None] * (2 * count * len(order))
+    step = 2 * len(order)
+    for p, (column, sep) in enumerate(zip(order, seps)):
+        out[2 * p::step] = cells[column::width]
+        out[2 * p + 1::step] = [sep] * count
+    return out
+
+
+def _stack_json(states) -> str:
+    """``json.dumps(states.tolist())`` with the document's separators, each
+    mirrored pair of entries formatted once."""
+    states = np.asarray(states, dtype=float)
+    if not states.size:
+        return json.dumps(states.tolist(), separators=(",", ":"))
+    count, n, _ = states.shape
+    columns, order = _mirror_map(states)
+    entries = states.reshape(count, n * n)[:, columns].ravel().tolist()
+    cells = json.dumps(entries, separators=(",", ":"))[1:-1].split(",")
+    seps = ([","] * (n - 1) + ["],["]) * n
+    seps[-1] = "]],[["
+    out = _interleave(cells, columns.size, order.tolist(), seps)
+    out[-1] = "]]]"
+    return "[[[" + "".join(out)
+
+
 def emit_machine(obj) -> str:
     for name, cls in _SCHEMAS.items():
         if isinstance(obj, cls):
             doc = {"schema": f"{_SCHEMA_PREFIX}/{name}/v1", "payload": _encode(name, obj)}
-            return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+            text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+            if isinstance(obj, MatrixTrajectory):
+                head, _, tail = text.partition(json.dumps(_STACK))
+                text = head + _stack_json(obj.states) + tail
+            return text + "\n"
     raise InvalidInput(f"no machine form for {type(obj).__name__}")
 
 
@@ -296,18 +361,20 @@ def emit_table(traj: MatrixTrajectory) -> str:
     header row and 17 significant digits."""
     if not isinstance(traj, MatrixTrajectory):
         raise InvalidInput("table format applies to trajectories only")
-    n = traj.states.shape[1]
+    states = np.asarray(traj.states, dtype=float)
+    count, n, _ = states.shape
     header = ["t"]
     header += [f"x{i + 1}{j + 1}" for i in range(n) for j in range(n)]
     header.append("frobenius_norm")
-    rows = [",".join(header)]
-    norms = traj.frobenius_norms()
-    for t, X, fn in zip(traj.times, traj.states, norms):
-        cells = [f"{t:.17g}"]
-        cells += [f"{v:.17g}" for v in X.ravel()]
-        cells.append(f"{fn:.17g}")
-        rows.append(",".join(cells))
-    return "\n".join(rows) + "\n"
+    columns, order = _mirror_map(states)
+    values = np.column_stack([
+        traj.times, states.reshape(count, n * n)[:, columns], traj.frobenius_norms()
+    ])
+    cells = [f"{v:.17g}" for v in values.ravel().tolist()]
+    width = columns.size + 2
+    row = [0, *(order + 1).tolist(), width - 1]
+    seps = [","] * (len(row) - 1) + ["\n"]
+    return ",".join(header) + "\n" + "".join(_interleave(cells, width, row, seps))
 
 
 def emit(obj, format: str = HUMAN) -> str:

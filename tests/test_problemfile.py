@@ -125,6 +125,17 @@ def test_bad_option_values():
         parse_problem_file(AWGN_DOC.replace("seed: 0", "seed: zero"))
 
 
+def test_signed_exponents_and_plain_ints_parse():
+    pf = parse_problem_file(AWGN_DOC.replace(PLANT_SECTION, (
+        "plant:\n  A: [[1.0e+3, 2], [-3, 4.5E-1]]\n  B: [[1.e+0], [.5e-2]]\n"
+        "  x0: [7, -1]\n")))
+    for arr in (pf.plant.A, pf.plant.B, pf.plant.x0):
+        assert arr.dtype == float
+    assert pf.plant.A.tolist() == [[1000.0, 2.0], [-3.0, 0.45]]
+    assert pf.plant.B.tolist() == [[1.0], [0.005]]
+    assert pf.plant.x0.tolist() == [7.0, -1.0]
+
+
 def test_unstable_kind_rejected():
     with pytest.raises(ParseError):
         parse_problem_file(AWGN_DOC.replace("kind: awgn", "kind: quantized"))
@@ -194,6 +205,27 @@ INGESTION_ERRORS = [
      "line 12: x0 must be a nonempty 1-d array", 12),
     ("x0-literal", AWGN_DOC.replace("x0: [1, 1, 1, 1]", "x0: [1, a, 1, 1]"),
      ParseError, "line 12: x0 must be a numeric vector", 12),
+    ("x0-quoted-number", AWGN_DOC.replace("x0: [1, 1, 1, 1]", 'x0: [" 7 "]'),
+     ParseError, "line 12: x0 must be a numeric vector: ' 7 ' is a string", 12),
+    ("power-quoted-number", AWGN_DOC.replace("power: [9.1, 3.1, 4.1]", 'power: ["9"]'),
+     ParseError, "line 15: power must be a numeric vector: '9' is a string", 15),
+    # YAML 1.1 wants a decimal point and a signed exponent
+    ("B-exponent-without-point",
+     AWGN_DOC.replace(PLANT_SECTION, "plant:\n  A: [[1]]\n  B: [[1e3]]\n"), ParseError,
+     "line 3: B must be a rectangular numeric array: '1e3' is a string; YAML 1.1 reads "
+     "a number in exponent form as a string unless it has a decimal point and a "
+     "signed exponent: write 1.0e+3", 3),
+    ("B-exponent-without-sign",
+     AWGN_DOC.replace(PLANT_SECTION, "plant:\n  A: [[1]]\n  B: [[-2.5E3]]\n"), ParseError,
+     "line 3: B must be a rectangular numeric array: '-2.5E3' is a string; YAML 1.1 "
+     "reads a number in exponent form as a string unless it has a decimal point and "
+     "a signed exponent: write -2.5E+3", 3),
+    ("noise_density-booleans",
+     AWGN_DOC.replace("noise_density: [1, 1, 1]", "noise_density: [yes, no]"), ParseError,
+     "line 16: noise_density must be a numeric vector: True is a boolean; YAML 1.1 "
+     "reads yes/no, on/off and true/false as booleans", 16),
+    ("A-null-entry", AWGN_DOC.replace("- [4, 0, 0, 0]", "- [~, 0, 0, 0]"), ParseError,
+     "line 2: A must be a rectangular numeric array: null is not a number", 2),
     ("power-empty", AWGN_DOC.replace("power: [9.1, 3.1, 4.1]", "power: []"),
      ParseError, "line 15: power must be a nonempty 1-d array", 15),
     ("noise_density-negative",

@@ -1,21 +1,26 @@
 import dataclasses
+import json
 import os
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from conftest import ladder_block
-from netstab import ChannelEnsemble, Plant
-from netstab.analysis import analyze, simulate_fading_covariance
+from netstab import ChannelEnsemble, Plant, cli
+from netstab.analysis import analyze, ms_operator_abscissa, simulate_fading_covariance
 from netstab.cli import main
 from netstab.codesign import codesign
 from netstab.cyclic import cyclic_decompose
 from netstab.errors import ParseError
 from netstab.majorize import STRICT_WEAK_ABOVE, check_order, pad_to_match
 from netstab.plantmodel import capacities, validate_plant
-from netstab.reports import emit, emit_machine, parse_machine
+from netstab.numerics import MatrixTrajectory
+from netstab.reports import emit, emit_machine, emit_table, parse_machine
 
 PROBLEMS = os.path.join(os.path.dirname(__file__), os.pardir, "problems")
 AWGN_FILE = os.path.join(PROBLEMS, "demo_awgn.yaml")
@@ -112,6 +117,86 @@ class TestMachineRoundTrip:
         for obj in all_reports:
             text = emit(obj, "human")
             assert text.endswith("\n") and len(text) > 10
+
+
+def reference_machine(traj):
+    """The trajectory document as one ``json.dumps`` of the full stack writes it."""
+    payload = {
+        "diverged_at": traj.diverged_at,
+        "states": np.asarray(traj.states, dtype=float).tolist(),
+        "times": np.asarray(traj.times, dtype=float).tolist(),
+    }
+    doc = {"payload": payload, "schema": "netstab/trajectory/v1"}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def reference_table(traj):
+    """The trajectory table formatted cell by cell."""
+    n = traj.states.shape[1]
+    header = ["t", *(f"x{i + 1}{j + 1}" for i in range(n) for j in range(n)),
+              "frobenius_norm"]
+    rows = [",".join(header)]
+    for t, X, fn in zip(traj.times, traj.states, traj.frobenius_norms()):
+        rows.append(",".join([f"{t:.17g}", *(f"{v:.17g}" for v in X.ravel()),
+                              f"{fn:.17g}"]))
+    return "\n".join(rows) + "\n"
+
+
+#: entries whose texts are irregular: signed zero, subnormals, a float that
+#: repr writes in exponent form, NaN and the infinities
+_SPECIAL = st.sampled_from([0.0, -0.0, 5e-324, -1e-310, 1e16, 1e-5, 1.0 / 3.0,
+                            float("nan"), float("inf"), float("-inf")])
+
+
+@st.composite
+def trajectories(draw):
+    """Stacks of n x n matrices, N samples: exactly symmetric, or one lower
+    entry one ulp off, or a zero mirrored as -0.0."""
+    n = draw(st.integers(1, 6))
+    count = draw(st.integers(0, 50))
+    # within the producers' overflow limit, 1e150, the Frobenius norms are finite
+    entries = st.floats(-1e150, 1e150) | _SPECIAL
+    i, j = np.triu_indices(n)
+    states = np.zeros((count, n, n))
+    states[:, i, j] = draw(arrays(float, (count, i.size), elements=entries))
+    states[:, j, i] = states[:, i, j]
+    flaw = draw(st.sampled_from(["none", "ulp", "signed-zero"]))
+    if flaw != "none" and count and n > 1:
+        k = draw(st.integers(0, count - 1))
+        r = draw(st.integers(1, n - 1))
+        c = draw(st.integers(0, r - 1))
+        if flaw == "ulp":
+            states[k, r, c] = np.nextafter(states[k, r, c], np.inf)
+        else:
+            states[k, c, r], states[k, r, c] = 0.0, -0.0
+    times = np.cumsum(draw(st.lists(st.floats(1e-6, 1e3), min_size=count,
+                                    max_size=count)))
+    diverged_at = draw(st.none() | st.floats(0.0, 1e4))
+    return MatrixTrajectory(times=times, states=states, diverged_at=diverged_at)
+
+
+class TestStackEmission:
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(trajectories())
+    def test_machine_document_is_one_dumps_of_the_full_stack(self, traj):
+        assert emit_machine(traj) == reference_machine(traj)
+
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(trajectories())
+    def test_table_is_the_per_cell_table(self, traj):
+        assert emit_table(traj) == reference_table(traj)
+
+    def test_criterion_03_trajectory_bytes(self, bench_plant, bench_fading):
+        # the demo trajectory to the criterion-03 horizon, as `horizon` times it
+        design = codesign(bench_plant, bench_fading).design
+        alpha = ms_operator_abscissa(bench_plant, design, bench_fading)
+        traj = simulate_fading_covariance(
+            bench_plant, design, bench_fading, t_end=np.log(1e5) / abs(alpha)
+        )
+        assert traj.times.size == 7604
+        assert np.array_equal(traj.states, traj.states.transpose(0, 2, 1))
+        assert emit_machine(traj) == reference_machine(traj)
+        assert emit_table(traj) == reference_table(traj)
 
 
 class TestTrajectoryTable:
@@ -252,6 +337,19 @@ class TestCli:
         ):
             assert f"{command} {help_text}" in text
 
+    def test_parser_is_reused_without_state(self, monkeypatch):
+        seen = []
+
+        def run(args):
+            seen.append(vars(args))
+            return 0
+        monkeypatch.setattr(cli, "_run", run)
+        assert self.run("codesign", AWGN_FILE, "--epsilon", "0.05", "--seed", "3") == 0
+        assert self.run("codesign", AWGN_FILE) == 0
+        assert seen[0]["epsilon"] == 0.05 and seen[0]["seed"] == 3
+        assert seen[1]["epsilon"] is None and seen[1]["seed"] is None
+        assert cli._build_parser() is cli._build_parser()
+
     def test_unknown_command_is_exit_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             self.run("frobnicate", AWGN_FILE)
@@ -266,11 +364,13 @@ class TestCli:
     def test_demo_eigen_solve_count(self, tmp_path, factorizations, command, problem, pinned):
         # `pinned` is the count once the Lyapunov kernel read its Hurwitz test off
         # its own Schur form; the Riccati kernel reading its PBH eigenvalues off
-        # its sorted Schur form saves one more per cyclic block (two in each demo)
+        # its sorted Schur form saves one more per cyclic block, and the
+        # decomposition check computing each block's spectrum once two more
+        # (six in each demo, which has two blocks)
         path = os.path.join(PROBLEMS, problem)
         assert self.run(command, path, "--format", "machine",
                         "--out", str(tmp_path / "out.json")) == 0
-        assert factorizations["eigvals"] <= pinned - 2
+        assert factorizations["eigvals"] <= pinned - 6
 
     def test_decompose(self, tmp_path):
         out = tmp_path / "dec.json"
