@@ -17,7 +17,6 @@ from .analysis import (
     h2_norm_squared,
     mixed_norms,
     ms_norm,
-    ms_operator,
     ms_operator_abscissa,
     simulate_fading_covariance,
 )

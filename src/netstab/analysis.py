@@ -94,14 +94,13 @@ def h2_norm_squared(ss: StateSpace) -> float:
     return float(np.trace(ss.Ccl @ L @ ss.Ccl.T))
 
 
-def channel_powers_awgn(plant: Plant, design, noise_density) -> np.ndarray:
-    """Stationary channel input powers E[q_i^2] of an AWGN design.
+def channel_powers_awgn(ss: StateSpace, noise_density) -> np.ndarray:
+    """Stationary channel input powers E[q_i^2] of an AWGN closed loop.
 
     One Lyapunov solve with the full noise covariance; the i-th power is the
     i-th diagonal entry of the output covariance.
     """
     N = np.asarray(noise_density, dtype=float).reshape(-1)
-    ss = closed_loop(plant, design)
     L = solve_lyapunov(ss.Acl, ss.Bcl @ np.diag(N) @ ss.Bcl.T)
     return np.maximum(np.einsum("in,nm,im->i", ss.Ccl, L, ss.Ccl), 0.0)
 
@@ -157,27 +156,6 @@ def covariance_rhs(plant: Plant, design, ch: ChannelEnsemble):
     return rhs
 
 
-def _ms_generator(ss: StateSpace) -> np.ndarray:
-    """n^2 x n^2 matrix of X -> Acl X + X Acl' + sum_i b_i b_i' (c_i' X c_i)
-    acting on column-major vec(X)."""
-    eye, Ct = np.eye(ss.Acl.shape[0]), ss.Ccl.T
-    reinjection = linalg.khatri_rao(ss.Bcl, ss.Bcl) @ linalg.khatri_rao(Ct, Ct).T
-    return np.kron(eye, ss.Acl) + np.kron(ss.Acl, eye) + reinjection
-
-
-def ms_operator(plant: Plant, design, ch: ChannelEnsemble) -> np.ndarray:
-    """Generator of the vectorized covariance evolution under multiplicative
-    channel noise.
-
-    Returns the n^2 x n^2 matrix L with vec(X)' = L vec(X) (column-major
-    vec): the Lyapunov part I (x) Acl + Acl (x) I plus, per channel i, the
-    rank-one re-injection vec(b_i b_i') (c_i (x) c_i)' with b_i the
-    sigma_i-scaled i-th column of BR and C = TF. It is the operator
-    :func:`covariance_rhs` applies to a matrix.
-    """
-    return _ms_generator(_ms_loop(plant, design, ch))
-
-
 def _ms_lyapunov_coordinates(ss: StateSpace):
     """W and its inverse for the coordinates X -> W X W' with W'W = P, P the
     solution of the adjoint equation
@@ -210,22 +188,31 @@ def _ms_lyapunov_coordinates(ss: StateSpace):
 
 
 def _ms_triangle(ss: StateSpace):
-    """``(Ls, W, Winv, r, c)``: the generator restricted to symmetric
+    """``(Ls, W, Winv, r, c)``: the generator
+    X -> Acl X + X Acl' + sum_i b_i b_i' (c_i' X c_i) restricted to symmetric
     matrices in the coordinates Xw = W X W' of
     :func:`_ms_lyapunov_coordinates`, an n(n+1)/2 square matrix Ls acting on
-    the upper triangle entries (r, c), r <= c, of Xw."""
-    n = ss.Acl.shape[0]
+    the upper triangle entries (r, c), r <= c, of Xw. Column (p, q) is the
+    generator applied to e_p e_q', entry (r, c) being
+    [c = q] A_rp + A_cq [r = p] + sum_i B_ri B_ci C_ip C_iq, plus its mirror
+    (p and q swapped) when p != q."""
     W, Winv = _ms_lyapunov_coordinates(ss)
-    L = _ms_generator(StateSpace(W @ ss.Acl @ Winv, W @ ss.Bcl, ss.Ccl @ Winv))
-    # entry (r, c), r <= c, sits at column-major vec positions a and b
-    r, c = np.triu_indices(n)
-    a, b = r + n * c, c + n * r
-    return L[a][:, a] + L[a][:, b] * (a != b), W, Winv, r, c
+    A, B, C = W @ ss.Acl @ Winv, W @ ss.Bcl, ss.Ccl @ Winv
+    r, c = np.triu_indices(A.shape[0])
+    reinjection = (B[r] * B[c]) @ (C[:, r] * C[:, c])
+
+    def applied(p, q):
+        column = A[np.ix_(r, p)] * (c[:, None] == q)
+        column += A[np.ix_(c, q)] * (r[:, None] == p)
+        column += reinjection
+        return column
+
+    return applied(r, c) + applied(c, r) * (r != c), W, Winv, r, c
 
 
 def ms_operator_abscissa(plant: Plant, design, ch: ChannelEnsemble) -> float:
-    """Spectral abscissa of :func:`ms_operator`, read off the triangle
-    operator Ls of :func:`_ms_triangle` that
+    """Spectral abscissa of the covariance generator :func:`covariance_rhs`
+    applies, read off its triangle operator Ls of :func:`_ms_triangle` that
     :func:`simulate_fading_covariance` propagates. On antisymmetric
     matrices the re-injection vanishes and the eigenvalues are sums of two
     eigenvalues of A + BF, never the largest; W is a similarity.
@@ -362,7 +349,7 @@ def analyze(plant: Plant, design, ch: ChannelEnsemble) -> AnalysisReport:
             margins=np.array([]),
         )
     if ch.kind == AWGN:
-        powers = channel_powers_awgn(plant, design, ch.noise_density)
+        powers = channel_powers_awgn(ss, ch.noise_density)
         margins = ch.power - powers
         ok = bool(np.all(margins >= 1e-9 * ch.power))
         return AnalysisReport(
@@ -393,7 +380,6 @@ __all__ = [
     "channel_powers_awgn",
     "ms_norm",
     "mixed_norms",
-    "ms_operator",
     "ms_operator_abscissa",
     "covariance_rhs",
     "default_time_step",

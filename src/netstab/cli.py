@@ -17,7 +17,7 @@ import functools
 import sys
 
 from . import analysis, reports
-from .codesign import codesign
+from .codesign import _feasibility, codesign
 from .cyclic import cyclic_decompose
 from .errors import (
     DecompositionFailed,
@@ -26,8 +26,7 @@ from .errors import (
     NotDiagonalizable,
     Unstabilizable,
 )
-from .majorize import STRICT_WEAK_ABOVE, check_order, pad_to_match
-from .plantmodel import FADING, capacities, validate_plant
+from .plantmodel import FADING, validate_plant
 from .problemfile import load_problem_file
 
 EXIT_POSITIVE = 0
@@ -109,9 +108,7 @@ def _run(args) -> int:
         return EXIT_POSITIVE
 
     if command == "check":
-        decomposition = cyclic_decompose(pf.plant, seed=seed)
-        c_pad, h_pad = pad_to_match(capacities(pf.channels), decomposition.h)
-        verdict = check_order(c_pad, h_pad, STRICT_WEAK_ABOVE)
+        _, verdict = _feasibility(pf.plant, pf.channels, seed)
         _write(reports.emit(verdict, args.format), args)
         return EXIT_POSITIVE if verdict.holds else EXIT_NEGATIVE
 

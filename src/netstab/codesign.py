@@ -201,6 +201,14 @@ class CoDesignResult:
     note: str = ""
 
 
+def _feasibility(plant: Plant, ch: ChannelEnsemble, seed: int = 0):
+    """``(d, order)``: the cyclic decomposition of the plant and the verdict
+    of the capacity vector against its zero-padded block entropies in the
+    strict weak order, feasible exactly when it holds."""
+    d = cyclic_decompose(plant, seed=seed)
+    return d, check_order(*pad_to_match(capacities(ch), d.h), STRICT_WEAK_ABOVE)
+
+
 def codesign(
     plant: Plant,
     ch: ChannelEnsemble,
@@ -217,10 +225,7 @@ def codesign(
     search at once, since the gain, and with it A + BF, does not depend on
     the scaling.
     """
-    d = cyclic_decompose(plant, seed=seed)
-    c = capacities(ch)
-    c_pad, h_pad = pad_to_match(c, d.h)
-    order = check_order(c_pad, h_pad, STRICT_WEAK_ABOVE)
+    d, order = _feasibility(plant, ch, seed)
     if not order.holds:
         return CoDesignResult(feasible=False, order=order, decomposition=d)
 
@@ -235,7 +240,7 @@ def codesign(
             f"{lch} subchannels serve only the {d.k} decomposed inputs that "
             f"carry signal; inputs {d.k + 1}..{m} are unused"
         )
-    gamma = construct_intermediate(c_pad, h_pad)
+    gamma = construct_intermediate(*pad_to_match(capacities(ch), d.h))
     lam = np.concatenate([d.h, np.zeros(m_active - d.k)])
     U = schur_horn_isometry(lam, gamma)
     F = synthesize_gain(d)
@@ -301,10 +306,9 @@ def check_corollaries(plant: Plant, ch: ChannelEnsemble, seed: int = 0) -> Corol
     """When one cyclic block carries all instability, or all capacities are
     equal, feasibility reduces to total capacity exceeding total entropy;
     this reports both verdicts and whether they agree."""
-    d = cyclic_decompose(plant, seed=seed)
+    d, order = _feasibility(plant, ch, seed)
     c = capacities(ch)
-    c_pad, h_pad = pad_to_match(c, d.h)
-    full = check_order(c_pad, h_pad, STRICT_WEAK_ABOVE).holds
+    full = order.holds
     total = float(np.sum(c))
     entropy = float(np.sum(d.h))
     single = int(np.sum(d.h > 0.0)) <= 1

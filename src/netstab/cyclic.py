@@ -33,9 +33,8 @@ from .numerics import (
     _as_square,
     _rank_failures,
     eig_cluster_tolerance,
-    pbh_failures,
 )
-from .plantmodel import Plant
+from .plantmodel import Plant, _entropy
 
 _MAX_BASIS_COND = 1e8
 _Q_ATTEMPTS = 40
@@ -76,8 +75,8 @@ def _tidy_basis(W):
     return W[:, np.argsort(keys, kind="stable")]
 
 
-def _analyze_clusters(A):
-    """Cluster the spectrum and attach invariant-subspace bases.
+def _analyze_clusters(A, evals):
+    """Cluster the spectrum ``evals`` of A and attach invariant-subspace bases.
 
     The basis of a cluster of multiplicity mu is taken from the mu smallest
     right singular directions of (A - lambda I); this stays well conditioned
@@ -86,7 +85,6 @@ def _analyze_clusters(A):
     """
     n = A.shape[0]
     tau = eig_cluster_tolerance(A)
-    evals = np.linalg.eigvals(A)
     groups: list[list[complex]] = []
     for lam in sorted(evals, key=lambda z: (-z.real, -z.imag)):
         for g in groups:
@@ -171,7 +169,7 @@ def cyclic_index(A) -> int:
     exists (condition number above 1e8 or poor reconstruction).
     """
     A = _as_square(A, "A")
-    clusters = _analyze_clusters(A)
+    clusters = _analyze_clusters(A, np.linalg.eigvals(A))
     _check_diagonalizable(A, clusters)
     return max(cl.mult for cl in clusters)
 
@@ -279,11 +277,6 @@ def _remix(cl, rows, qs, P):
         P[:, s : s + wdt] = P[:, s : s + wdt] @ Z.real
 
 
-def _entropy(ev):
-    """Topological entropy of a spectrum: the sum of its unstable real parts."""
-    return float(np.sum(ev.real[ev.real > TAU_AXIS]))
-
-
 def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
     """Decompose a stabilizable plant into single-input cyclic subsystems.
 
@@ -293,10 +286,11 @@ def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
     """
     A, B = plant.A, plant.B
     m = plant.m
-    failures = pbh_failures(A, B)
+    evals = np.linalg.eigvals(A)
+    failures = _rank_failures(A, B, evals)
     if failures:
         raise Unstabilizable(f"plant fails the PBH test at eigenvalues {failures}")
-    clusters = _analyze_clusters(A)
+    clusters = _analyze_clusters(A, evals)
     P = _check_diagonalizable(A, clusters)
     k = max(cl.mult for cl in clusters)
     if k > m:

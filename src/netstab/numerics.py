@@ -32,6 +32,9 @@ from .errors import (
 #: eigenvalue is treated as an axis eigenvalue.
 TAU_AXIS = 1e-9
 
+#: Relative singular-value threshold of the PBH rank test.
+RANK_TOL = 1e-8
+
 #: Stage named by the errors of the Riccati gain kernel.
 RICCATI = "riccati gain"
 
@@ -138,7 +141,7 @@ def _quasi_triangular_eigenvalues(T):
     return lam
 
 
-def _rank_failures(A, B, eigenvalues, rank_tol=1e-8):
+def _rank_failures(A, B, eigenvalues):
     """The ``eigenvalues`` with Re >= -TAU_AXIS at which rank [A - lambda I, B] < n."""
     n = A.shape[0]
     failures = []
@@ -147,22 +150,22 @@ def _rank_failures(A, B, eigenvalues, rank_tol=1e-8):
             continue
         pencil = np.hstack([A - lam * np.eye(n), B.astype(complex)])
         sv = np.linalg.svd(pencil, compute_uv=False)
-        if sv[-1] <= rank_tol * sv[0]:
+        if sv[-1] <= RANK_TOL * sv[0]:
             failures.append(complex(lam))
     return tuple(failures)
 
 
-def pbh_failures(A, B, rank_tol=1e-8) -> tuple:
+def pbh_failures(A, B) -> tuple:
     """Eigenvalues with Re(lambda) >= -TAU_AXIS at which the PBH rank test
-    fails, i.e. rank [A - lambda I, B] < n (relative to ``rank_tol``)."""
+    fails, i.e. rank [A - lambda I, B] < n (relative to ``RANK_TOL``)."""
     A = _as_square(A, "A")
-    return _rank_failures(A, np.asarray(B, dtype=float), np.linalg.eigvals(A), rank_tol)
+    return _rank_failures(A, np.asarray(B, dtype=float), np.linalg.eigvals(A))
 
 
-def stabilizable_pbh(A, B, rank_tol=1e-8) -> bool:
+def stabilizable_pbh(A, B) -> bool:
     """PBH stabilizability test: rank [A - lambda I, B] = n at every
     eigenvalue with Re(lambda) >= -TAU_AXIS."""
-    return not pbh_failures(A, B, rank_tol)
+    return not pbh_failures(A, B)
 
 
 def solve_care_stabilizing(A, B) -> np.ndarray:
@@ -237,13 +240,14 @@ def solve_care_stabilizing(A, B) -> np.ndarray:
 class MatrixTrajectory:
     """Sampled solution of a matrix ODE.
 
-    ``states[i]`` is the matrix at ``times[i]``. Its producers,
-    :func:`integrate_linear_matrix_ode` and
-    ``analysis.simulate_fading_covariance``, write exactly symmetric states
+    ``states[i]`` is the matrix at ``times[i]``. The covariance simulation,
+    ``analysis.simulate_fading_covariance``, writes exactly symmetric states
     (equal to their transposes bit for bit), which the machine and table
-    writers format from the upper triangle. When the solution overflowed, ``diverged_at`` holds the time of the first sample
-    past the overflow limit (non-finite, or an entry above 1e150) and the
-    trajectory ends at the last sample before it.
+    writers format from the upper triangle.
+
+    When the solution overflowed, ``diverged_at`` holds the time of the
+    first sample past the overflow limit (non-finite, or an entry above
+    1e150) and the trajectory ends at the last sample before it.
     """
 
     times: np.ndarray

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AxisEigenvalueWarning, InvalidInput
-from .numerics import TAU_AXIS, _as_square, pbh_failures, stabilizable_pbh
+from .numerics import TAU_AXIS, _as_square, _rank_failures, stabilizable_pbh
 
 AWGN = "awgn"
 FADING = "fading"
@@ -134,14 +134,18 @@ def total_capacity(ch: ChannelEnsemble) -> float:
     return float(np.sum(capacities(ch)))
 
 
+def _entropy(evals) -> float:
+    """Topological entropy of a spectrum: the sum of its unstable real parts."""
+    return float(np.sum(evals.real[evals.real > TAU_AXIS]))
+
+
 def topological_entropy(A) -> float:
     """Sum of the real parts of the unstable eigenvalues of ``A``.
 
     Eigenvalues within TAU_AXIS of the imaginary axis trigger an
     AxisEigenvalueWarning and do not contribute.
     """
-    A = _as_square(A, "A")
-    evals = np.linalg.eigvals(A)
+    evals = np.linalg.eigvals(_as_square(A, "A"))
     if np.any(np.abs(evals.real) < TAU_AXIS):
         warnings.warn(
             "eigenvalue within tolerance of the imaginary axis; entropy is "
@@ -149,7 +153,7 @@ def topological_entropy(A) -> float:
             AxisEigenvalueWarning,
             stacklevel=2,
         )
-    return float(np.sum(evals.real[evals.real > TAU_AXIS]))
+    return _entropy(evals)
 
 
 @dataclass(frozen=True)
@@ -168,19 +172,16 @@ class PlantValidation:
         return self.stabilizable and not self.has_axis_eigenvalues
 
 
-def validate_plant(plant: Plant, rank_tol=1e-8) -> PlantValidation:
-    """PBH stabilizability check plus axis/instability diagnostics."""
-    A = plant.A
-    evals = np.linalg.eigvals(A)
-    has_axis = bool(np.any(np.abs(evals.real) < TAU_AXIS))
-    failures = pbh_failures(A, plant.B, rank_tol)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", AxisEigenvalueWarning)
-        entropy = topological_entropy(A)
+def validate_plant(plant: Plant) -> PlantValidation:
+    """PBH stabilizability check plus axis/instability diagnostics, all read
+    off one spectrum of ``A``."""
+    evals = np.linalg.eigvals(plant.A)
+    failures = _rank_failures(plant.A, plant.B, evals)
+    entropy = _entropy(evals)
     return PlantValidation(
         stabilizable=not failures,
         unstable=entropy > 0.0,
-        has_axis_eigenvalues=has_axis,
+        has_axis_eigenvalues=bool(np.any(np.abs(evals.real) < TAU_AXIS)),
         entropy=entropy,
         eigenvalues=evals,
         pbh_failures=failures,

@@ -11,6 +11,7 @@ from netstab.analysis import (
     StateSpace,
     _ms_loop,
     _ms_lyapunov_coordinates,
+    _ms_triangle,
     _sample_grid,
     analyze,
     channel_powers_awgn,
@@ -21,7 +22,6 @@ from netstab.analysis import (
     h2_norm_squared,
     mixed_norms,
     ms_norm,
-    ms_operator,
     ms_operator_abscissa,
     simulate_fading_covariance,
 )
@@ -131,13 +131,14 @@ class TestEntrywiseGramians:
 class TestChannelPowers:
     def test_benchmark_pipeline_powers(self, bench_plant, bench_awgn):
         res = codesign(bench_plant, bench_awgn)
-        powers = channel_powers_awgn(bench_plant, res.design, bench_awgn.noise_density)
+        ss = closed_loop(bench_plant, res.design)
+        powers = channel_powers_awgn(ss, bench_awgn.noise_density)
         assert np.all(powers < bench_awgn.power)
         assert_allclose(powers, res.report.channel_powers, rtol=1e-12)
 
     def test_zero_noise_zero_power(self, bench_plant, bench_awgn):
         res = codesign(bench_plant, bench_awgn)
-        powers = channel_powers_awgn(bench_plant, res.design, np.zeros(3))
+        powers = channel_powers_awgn(closed_loop(bench_plant, res.design), np.zeros(3))
         assert_allclose(powers, np.zeros(3), atol=1e-12)
 
     def test_capacity_identity_lower_bound(self, bench_plant, bench_awgn):
@@ -153,7 +154,7 @@ class TestChannelPowers:
                 kind="awgn", F=base.F, T=T, R=R, epsilon=1.0,
                 gamma=np.zeros(3), U=W,
             )
-            powers = channel_powers_awgn(bench_plant, design, N)
+            powers = channel_powers_awgn(closed_loop(bench_plant, design), N)
             assert np.sum(powers / (2.0 * N)) >= 8.0 - 1e-6
 
 
@@ -229,6 +230,15 @@ def size_table_problem(n):
     plant = Plant(A=0.5 * (A + A.T), B=rng.normal(size=(n, k)), x0=np.ones(n))
     ch = ChannelEnsemble(kind="fading", mean=np.ones(k), variance=np.full(k, 1 / 12))
     return plant, ch
+
+
+def dense_generator(ss):
+    """n^2 x n^2 matrix of X -> Acl X + X Acl' + sum_i b_i b_i' (c_i' X c_i)
+    acting on column-major vec(X): the Lyapunov part I (x) Acl + Acl (x) I
+    plus, per input i, the rank-one re-injection vec(b_i b_i') (c_i (x) c_i)'."""
+    eye, Ct = np.eye(ss.Acl.shape[0]), ss.Ccl.T
+    reinjection = linalg.khatri_rao(ss.Bcl, ss.Bcl) @ linalg.khatri_rao(Ct, Ct).T
+    return np.kron(eye, ss.Acl) + np.kron(ss.Acl, eye) + reinjection
 
 
 def mp_ms_abscissa(plant, design, ch, dps=30):
@@ -351,7 +361,7 @@ class TestCovarianceSimulation:
         # dt sets only the sample spacing: a step of 0.5 on the criterion-03
         # horizon must neither lose accuracy nor report divergence
         res = codesign(bench_plant, bench_fading)
-        L = ms_operator(bench_plant, res.design, bench_fading)
+        L = dense_generator(_ms_loop(bench_plant, res.design, bench_fading))
         alpha = ms_operator_abscissa(bench_plant, res.design, bench_fading)
         t_end = float(np.log(1e5) / abs(alpha))
         traj = simulate_fading_covariance(
@@ -392,16 +402,28 @@ class TestCovarianceSimulation:
 
 class TestMeanSquareOperator:
     def test_operator_applies_the_covariance_rhs(self, bench_plant, bench_fading):
+        # Ls maps the triangle of Xw = W X W' to the triangle of W rhs(X) W'
         design = codesign(bench_plant, bench_fading).design
-        L = ms_operator(bench_plant, design, bench_fading)
+        Ls, W, Winv, r, c = _ms_triangle(_ms_loop(bench_plant, design, bench_fading))
         rhs = covariance_rhs(bench_plant, design, bench_fading)
         rng = np.random.default_rng(5)
         for _ in range(5):
             M = rng.normal(size=(4, 4))
             X = M + M.T
-            expected = rhs(X).ravel(order="F")
-            got = L @ X.ravel(order="F")
+            expected = (W @ rhs(X) @ W.T)[r, c]
+            got = Ls @ (W @ X @ W.T)[r, c]
             assert np.linalg.norm(got - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    @pytest.mark.parametrize("n", [None, 16])
+    def test_triangle_is_the_dense_generator_restricted(self, bench_plant, bench_fading, n):
+        # the fading demo (n = None) and the n = 16 size-table plant
+        plant, ch = (bench_plant, bench_fading) if n is None else size_table_problem(n)
+        ss = _ms_loop(plant, codesign(plant, ch).design, ch)
+        Ls, W, Winv, r, c = _ms_triangle(ss)
+        L = dense_generator(StateSpace(W @ ss.Acl @ Winv, W @ ss.Bcl, ss.Ccl @ Winv))
+        # entry (r, c), r <= c, sits at column-major vec positions a and b
+        a, b = r + plant.n * c, c + plant.n * r
+        np.testing.assert_array_equal(Ls, L[a][:, a] + L[a][:, b] * (a != b))
 
     def test_lyapunov_coordinates_take_one_schur_form(
         self, bench_plant, bench_fading, factorizations

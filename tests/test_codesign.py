@@ -12,7 +12,7 @@ from conftest import (
     nearest_isometry,
 )
 from netstab import analysis
-from netstab.analysis import analyze, channel_powers_awgn
+from netstab.analysis import analyze, channel_powers_awgn, closed_loop
 from netstab.codesign import (
     CoDesign,
     check_corollaries,
@@ -232,7 +232,8 @@ class TestDesignAgainstChannel:
             kind="awgn", F=F_BENCH, T=T, R=R, epsilon=0.1,
             gamma=np.diag(U @ np.diag([7.0, 1.0]) @ U.T), U=U,
         )
-        powers = channel_powers_awgn(bench_plant, design, bench_awgn.noise_density)
+        ss = closed_loop(bench_plant, design)
+        powers = channel_powers_awgn(ss, bench_awgn.noise_density)
         assert_allclose(powers, [9.0848, 3.0299, 4.0249], atol=1.5e-3)
         report = analyze(bench_plant, design, bench_awgn)
         assert report.stabilized

@@ -258,6 +258,25 @@ class TestCli:
     def test_simulate_rejects_awgn(self):
         assert self.run("simulate", AWGN_FILE) == 2
 
+    @pytest.mark.parametrize("command, problem, channel, weaker", [
+        ("analyze", AWGN_FILE, "[9.1, 3.1, 4.1]", "[1, 1, 1]"),
+        ("simulate", FADING_FILE, "[0.35, 0.2, 0.25]", "[3.5, 2, 2.5]"),
+    ])
+    def test_infeasible_design_writes_the_codesign_result(
+        self, tmp_path, command, problem, channel, weaker
+    ):
+        # on an infeasible problem neither the analysis nor a trajectory
+        # exists: both commands write the co-design result and exit 1
+        infeasible = tmp_path / "infeasible.yaml"
+        infeasible.write_text(open(problem).read().replace(channel, weaker))
+        out = tmp_path / "out.json"
+        assert self.run(command, str(infeasible), "--format", "machine",
+                        "--out", str(out)) == 1
+        doc = json.loads(out.read_text())
+        assert doc["schema"] == "netstab/codesign-result/v1"
+        assert doc["payload"]["feasible"] is False
+        assert doc["payload"]["design"] is None
+
     def test_parse_error_is_exit_2(self, tmp_path):
         bad = tmp_path / "broken.yaml"
         bad.write_text("plant: [not, a, mapping]\n")
@@ -366,11 +385,19 @@ class TestCli:
         # its own Schur form; the Riccati kernel reading its PBH eigenvalues off
         # its sorted Schur form saves one more per cyclic block, and the
         # decomposition check computing each block's spectrum once two more
-        # (six in each demo, which has two blocks)
+        # (six in each demo, which has two blocks), and the decomposition
+        # taking the plant's spectrum once for its PBH test and its clusters
+        # one more
         path = os.path.join(PROBLEMS, problem)
         assert self.run(command, path, "--format", "machine",
                         "--out", str(tmp_path / "out.json")) == 0
-        assert factorizations["eigvals"] <= pinned - 6
+        assert factorizations["eigvals"] <= pinned - 7
+
+    def test_validate_takes_one_spectrum(self, tmp_path, factorizations):
+        # the axis test, the PBH failures and the entropy read one eigvals(A)
+        assert self.run("validate", AWGN_FILE, "--format", "machine",
+                        "--out", str(tmp_path / "out.json")) == 0
+        assert factorizations["eigvals"] == 1
 
     def test_decompose(self, tmp_path):
         out = tmp_path / "dec.json"
