@@ -284,8 +284,8 @@ def simulate_fading_covariance(
     """
     if dt is None:
         dt = default_time_step(plant, design)
-    if dt <= 0 or t_end <= 0:
-        raise InvalidInput("t_end and dt must be positive")
+    if not (0 < t_end < np.inf and 0 < dt < np.inf):  # fails on nan too
+        raise InvalidInput(f"t_end {t_end} and dt {dt} must be positive and finite")
     times, stride = _sample_grid(t_end, dt)
     n = plant.n
     Ls, W, Winv, r, c = _ms_triangle(_ms_loop(plant, design, ch))

@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import linalg
 
 from .errors import (
     DecompositionFailed,
+    InvalidInput,
     NotDiagonalizable,
     Unstabilizable,
 )
@@ -44,13 +44,18 @@ class _Cluster:
     """One eigenvalue cluster: a real value or a conjugate pair (Im > 0),
     with an orthonormal basis of its (complex) eigenspace."""
 
-    __slots__ = ("value", "mult", "basis", "is_pair", "col_start", "col_width")
+    __slots__ = ("value", "mult", "basis", "is_pair", "col_start")
 
     def __init__(self, value, mult, basis, is_pair):
         self.value = value
         self.mult = mult
         self.basis = basis  # n x mult, complex for pairs
         self.is_pair = is_pair
+
+    @property
+    def width(self):
+        """Real columns of one copy: 2 for a pair, 1 otherwise."""
+        return 2 if self.is_pair else 1
 
     @property
     def unstable(self):
@@ -115,51 +120,41 @@ def _analyze_clusters(A, evals):
 
 
 def _assemble_basis(clusters):
-    """Columns of the candidate diagonalizing basis, grouped by cluster.
+    """The candidate diagonalizing basis and the cell model it should give.
 
-    Pair clusters contribute (Re v_j, Im v_j) column pairs. Returns the real
-    basis matrix and per-cluster column offsets.
+    Columns are grouped by cluster, copy after copy; pair clusters
+    contribute (Re v_j, Im v_j) column pairs. Returns the real basis matrix
+    P0 and the block-diagonal model holding each copy's ``cell_matrix()`` at
+    that copy's columns, and sets each cluster's ``col_start``.
     """
     cols = []
-    pos = 0
     for cl in clusters:
-        cl.col_start = pos
-        if cl.is_pair:
-            for j in range(cl.mult):
-                cols.append(cl.basis[:, j].real)
-                cols.append(cl.basis[:, j].imag)
-            cl.col_width = 2 * cl.mult
-        else:
-            for j in range(cl.mult):
-                cols.append(cl.basis[:, j])
-            cl.col_width = cl.mult
-        pos += cl.col_width
-    return np.column_stack(cols)
-
-
-def _diagonal_model(clusters):
-    cells = []
+        cl.col_start = len(cols)
+        for j in range(cl.mult):
+            v = cl.basis[:, j]
+            cols.extend([v.real, v.imag] if cl.is_pair else [v])
+    model = np.zeros((len(cols), len(cols)))
     for cl in clusters:
-        for _ in range(cl.mult):
-            cells.append(cl.cell_matrix())
-    return linalg.block_diag(*cells)
+        for s in range(cl.col_start, cl.col_start + cl.width * cl.mult, cl.width):
+            model[s : s + cl.width, s : s + cl.width] = cl.cell_matrix()
+    return np.column_stack(cols), model
 
 
 def _check_diagonalizable(A, clusters):
-    P0 = _assemble_basis(clusters)
+    """P0 and the cell model of ``_assemble_basis``, checked to agree with A."""
+    P0, model = _assemble_basis(clusters)
     if np.linalg.cond(P0) > _MAX_BASIS_COND:
         raise NotDiagonalizable(
             "eigenvector basis condition number exceeds 1e8; the matrix "
             "appears defective (supply a hand-built decomposition instead)"
         )
-    model = _diagonal_model(clusters)
     residual = np.linalg.norm(A @ P0 - P0 @ model)
     if residual > 1e-6 * max(1.0, np.linalg.norm(A)):
         raise NotDiagonalizable(
             f"diagonal reconstruction residual {residual:.3e} is too large; "
             "the matrix appears defective"
         )
-    return P0
+    return P0, model
 
 
 def cyclic_index(A) -> int:
@@ -181,7 +176,10 @@ class CyclicDecomposition:
     ``P`` and ``Q`` are the state and input transformations;
     ``P^-1 A P`` is block diagonal with the ``k`` blocks ``A_i`` and
     ``P^-1 B Q`` is block upper triangular with the single-input columns
-    ``b_i`` on its block diagonal. ``h`` holds the per-block entropies in
+    ``b_i`` on its block diagonal. Each ``A_i`` is the exact real cell
+    model, in the column order of the regrouped ``P``: 1x1 cells ``[[a]]``
+    for real eigenvalues and 2x2 cells ``[[a, b], [-b, a]]`` for conjugate
+    pairs ``a +- ib``. ``h`` holds the per-block entropies in
     non-increasing order. ``seed`` records the randomization seed that
     produced the accepted construction.
     """
@@ -202,7 +200,11 @@ class CyclicDecomposition:
         return np.concatenate([[0], np.cumsum(self.dims)])
 
     def block_diagonal(self) -> np.ndarray:
-        return linalg.block_diag(*[Ai for Ai, _ in self.blocks])
+        offsets = self.offsets
+        out = np.zeros((offsets[-1], offsets[-1]))
+        for (Ai, _), s, e in zip(self.blocks, offsets, offsets[1:]):
+            out[s:e, s:e] = Ai
+        return out
 
     def staircase(self, B) -> np.ndarray:
         """The transformed input matrix ``P^-1 B Q``."""
@@ -211,8 +213,7 @@ class CyclicDecomposition:
 
 def _cluster_rows(cl, Bt):
     """Coupling rows of a cluster in complex eigen-coordinates (mult x m)."""
-    s, wdt = cl.col_start, cl.col_width
-    rows = Bt[s : s + wdt, :]
+    rows = Bt[cl.col_start : cl.col_start + cl.width * cl.mult, :]
     if cl.is_pair:
         return rows[0::2, :] - 1j * rows[1::2, :]
     return rows.astype(complex)
@@ -268,13 +269,13 @@ def _remix(cl, rows, qs, P):
     Z, R = np.linalg.qr(rows @ qs[:, : cl.mult])
     d = np.diag(R)
     Z = Z * np.divide(d, np.abs(d), out=np.ones_like(d), where=d != 0)
-    s, wdt = cl.col_start, cl.col_width
+    s, e = cl.col_start, cl.col_start + cl.width * cl.mult
     if cl.is_pair:
-        V = (P[:, s : s + wdt : 2] + 1j * P[:, s + 1 : s + wdt : 2]) @ Z
-        P[:, s : s + wdt : 2] = V.real
-        P[:, s + 1 : s + wdt : 2] = V.imag
+        V = (P[:, s:e:2] + 1j * P[:, s + 1 : e : 2]) @ Z
+        P[:, s:e:2] = V.real
+        P[:, s + 1 : e : 2] = V.imag
     else:
-        P[:, s : s + wdt] = P[:, s : s + wdt] @ Z.real
+        P[:, s:e] = P[:, s:e] @ Z.real
 
 
 def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
@@ -284,6 +285,8 @@ def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
     together as real 2x2 cells so that all outputs stay real. The result is
     verified against every invariant before being returned.
     """
+    if seed < 0:
+        raise InvalidInput(f"seed must be a non-negative integer, got {seed}")
     A, B = plant.A, plant.B
     m = plant.m
     evals = np.linalg.eigvals(A)
@@ -291,7 +294,7 @@ def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
     if failures:
         raise Unstabilizable(f"plant fails the PBH test at eigenvalues {failures}")
     clusters = _analyze_clusters(A, evals)
-    P = _check_diagonalizable(A, clusters)
+    P, model = _check_diagonalizable(A, clusters)
     k = max(cl.mult for cl in clusters)
     if k > m:
         raise DecompositionFailed(
@@ -328,27 +331,22 @@ def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
     for cl, r in zip(clusters, rows):
         _remix(cl, r, qs, P)
 
-    # columns of P regrouped so copies of equal index form consecutive blocks
+    # copies of equal index regrouped into consecutive blocks of P and model
     perm = []
-    blocks = []
+    offsets = [0]
     for j in range(k):
-        cells = []
         for cl in clusters:
-            if cl.mult <= j:
-                continue
-            if cl.is_pair:
-                perm.extend([cl.col_start + 2 * j, cl.col_start + 2 * j + 1])
-            else:
-                perm.append(cl.col_start + j)
-            cells.append(cl.cell_matrix())
-        blocks.append(linalg.block_diag(*cells))
+            if cl.mult > j:
+                s = cl.col_start + cl.width * j
+                perm.extend(range(s, s + cl.width))
+        offsets.append(len(perm))
     P = P[:, perm]
+    model = model[np.ix_(perm, perm)]
 
-    dims = [blk.shape[0] for blk in blocks]
-    offsets = np.concatenate([[0], np.cumsum(dims)])
     Bs = np.linalg.solve(P, B @ Q)
     pairs = tuple(
-        (blocks[j], Bs[offsets[j] : offsets[j + 1], j].copy()) for j in range(k)
+        (model[s:e, s:e].copy(), Bs[s:e, j].copy())
+        for j, (s, e) in enumerate(zip(offsets, offsets[1:]))
     )
     h = np.array([_entropy(np.linalg.eigvals(Ai)) for Ai, _ in pairs])
     result = CyclicDecomposition(P=P, Q=Q, blocks=pairs, k=k, h=h, seed=seed)

@@ -155,17 +155,11 @@ def _rank_failures(A, B, eigenvalues):
     return tuple(failures)
 
 
-def pbh_failures(A, B) -> tuple:
-    """Eigenvalues with Re(lambda) >= -TAU_AXIS at which the PBH rank test
-    fails, i.e. rank [A - lambda I, B] < n (relative to ``RANK_TOL``)."""
-    A = _as_square(A, "A")
-    return _rank_failures(A, np.asarray(B, dtype=float), np.linalg.eigvals(A))
-
-
 def stabilizable_pbh(A, B) -> bool:
-    """PBH stabilizability test: rank [A - lambda I, B] = n at every
-    eigenvalue with Re(lambda) >= -TAU_AXIS."""
-    return not pbh_failures(A, B)
+    """PBH stabilizability test: rank [A - lambda I, B] = n (relative to
+    ``RANK_TOL``) at every eigenvalue with Re(lambda) >= -TAU_AXIS."""
+    A = _as_square(A, "A")
+    return not _rank_failures(A, np.asarray(B, dtype=float), np.linalg.eigvals(A))
 
 
 def solve_care_stabilizing(A, B) -> np.ndarray:
@@ -267,6 +261,10 @@ _OVERFLOW_LIMIT = 1e150
 
 def integrate_linear_matrix_ode(rhs, X0, t_end, dt, raise_on_divergence=True):
     """Classical fixed-step 4th-order integration of ``dX/dt = rhs(X)``.
+
+    No pipeline path calls it: it is the RK4 reference that the tests
+    compare ``analysis.simulate_fading_covariance`` against, and it stays in
+    ``src/`` because ``benchmark/tracing.py`` looks it up by name.
 
     ``rhs`` maps a symmetric matrix to a symmetric matrix. Every accepted
     step is symmetrized. The final step is shortened so the trajectory ends

@@ -184,6 +184,10 @@ class TestDecomposeProperties:
             # entropy splits across blocks
             assert np.sum(d.h) == pytest.approx(topological_entropy(A), abs=1e-8)
 
+            # scipy is the reference for the block-diagonal fill
+            assert np.array_equal(d.block_diagonal(),
+                                  linalg.block_diag(*[Ai for Ai, _ in d.blocks]))
+
             # conjugating the block data back recovers the plant
             A_back = d.P @ d.block_diagonal() @ np.linalg.inv(d.P)
             assert_allclose(A_back, A, atol=1e-6 * max(1, np.linalg.norm(A)))

@@ -319,6 +319,21 @@ class TestCli:
             "channels only (AWGN loops are verified analytically)\n"
         )
 
+    @pytest.mark.parametrize("argv", [
+        ["codesign", AWGN_FILE, "--seed", "-1"],
+        ["codesign", "seed_in_file"],
+        ["simulate", FADING_FILE, "--t-end", "inf"],
+        ["simulate", FADING_FILE, "--t-end", "nan"],
+        ["simulate", FADING_FILE, "--dt", "nan"],
+    ], ids=["seed-flag", "seed-in-file", "t-end-inf", "t-end-nan", "dt-nan"])
+    def test_bad_run_option_is_a_typed_error(self, argv, tmp_path, capsys):
+        # a negative seed, and a horizon or step that is not a positive
+        # finite number, are errors of the run, not crashes or verdicts
+        seeded = tmp_path / "seed.yaml"
+        seeded.write_text(open(AWGN_FILE).read() + "options:\n  seed: -3\n")
+        assert self.run(*[str(seeded) if a == "seed_in_file" else a for a in argv]) == 2
+        assert capsys.readouterr().err.startswith("netstab: InvalidInput:")
+
     @pytest.mark.parametrize("command", ["decompose", "check", "codesign", "analyze"])
     def test_pbh_failure_names_the_eigenvalue(self, command, tmp_path, capsys):
         problem = tmp_path / "unstab.yaml"
