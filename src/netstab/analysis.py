@@ -26,6 +26,9 @@ VERDICT_MS_NORM_VIOLATION = "ms_norm_violation"
 #: Trajectories are decimated to at most this many samples.
 MAX_TRAJECTORY_SAMPLES = 10_000
 
+#: Largest number of time steps a sample grid may hold before decimation.
+MAX_GRID_STEPS = 1_000_000
+
 
 @dataclass(frozen=True)
 class StateSpace:
@@ -103,6 +106,33 @@ def channel_powers_awgn(ss: StateSpace, noise_density) -> np.ndarray:
     N = np.asarray(noise_density, dtype=float).reshape(-1)
     L = solve_lyapunov(ss.Acl, ss.Bcl @ np.diag(N) @ ss.Bcl.T)
     return np.maximum(np.einsum("in,nm,im->i", ss.Ccl, L, ss.Ccl), 0.0)
+
+
+def channel_power_coefficients(Acl, B, F, W) -> np.ndarray:
+    """Laurent coefficients of the AWGN channel powers in the codec scaling.
+
+    The loop ``Acl`` is driven through the columns b_j of ``B`` scaled by
+    eps^j and read through the rows f_a of ``F`` scaled by eps^-a, mixed by
+    ``W`` (l x m). With ``W = N^(1/2) U`` and orthonormal ``U`` this is the
+    closed loop of the codec ``T = N^(1/2) U D^-1``, ``R = D U' N^(-1/2)``,
+    ``D = diag(eps^j)``, since then ``R N R' = D^2``: the Gramian is
+    sum_j eps^2j L_j, L_j that of b_j, and
+
+        power_i(eps) = sum_k c[k, i] eps^(k - 2(m-1)),
+        c[k, i] = sum over 2j - a - b = k - 2(m-1) of W_ia W_ib f_a' L_j f_b.
+
+    One stacked Lyapunov solve gives every L_j; its errors (``NotHurwitz``
+    for a loop that is not Hurwitz) pass through.
+    """
+    m = B.shape[1]
+    L = solve_lyapunov(Acl, np.einsum("nj,mj->jnm", B, B))
+    G = np.einsum("an,jnk,bk->jab", F, L, F)
+    j, a, b = np.indices(G.shape)
+    Wt = np.asarray(W, dtype=float).T
+    c = np.zeros((4 * m - 3, Wt.shape[1]))
+    np.add.at(c, (2 * j - a - b + 2 * m - 2).ravel(),
+              (G[..., None] * Wt[a] * Wt[b]).reshape(-1, Wt.shape[1]))
+    return c
 
 
 def ms_norm(ss: StateSpace, phi) -> float:
@@ -241,13 +271,22 @@ def _sample_grid(t_end: float, dt: float):
     step shortened to end at ``t_end``, decimated to every stride-th sample
     and the last one so that at most ``MAX_TRAJECTORY_SAMPLES`` remain.
 
-    Returns the kept times and the stride.
+    Returns the kept times and the stride. A grid of more than
+    ``MAX_GRID_STEPS`` = 1e6 steps, about 24 MB while it is built (the
+    fading demo's horizon grid to t = 304 has 7 604), raises InvalidInput
+    before anything is allocated.
     """
+    count = np.ceil(t_end / dt)
+    if not count <= MAX_GRID_STEPS:
+        raise InvalidInput(
+            f"t_end {t_end} and dt {dt} need {count:.6g} time steps, more than "
+            f"the {MAX_GRID_STEPS} a sample grid may hold"
+        )
     thr = t_end - 1e-12 * t_end
     # cumsum adds dt one step at a time, so its sums equal the accumulated
     # times bit for bit; the grid runs full steps while t < thr and a full
     # step still fits, then at most one shortened step lands on t_end
-    steps = np.full(int(np.ceil(t_end / dt)) + 1, dt)
+    steps = np.full(int(count) + 1, dt)
     full = np.concatenate([[0.0], np.cumsum(steps)])
     stop = int(np.argmin((full < thr) & (dt <= t_end - full)))
     times = full[: stop + 1]
@@ -378,6 +417,7 @@ __all__ = [
     "h2_gramian_entrywise",
     "h2_norm_squared",
     "channel_powers_awgn",
+    "channel_power_coefficients",
     "ms_norm",
     "mixed_norms",
     "ms_operator_abscissa",

@@ -5,7 +5,11 @@ block entropies in the strict weak order, then builds: per-block minimum-
 energy stabilizing gains (zero-state-weight Riccati solutions), an
 intermediate demand vector strictly below the capacities, an isometry
 realizing those demands, and a geometrically scaled encoder/decoder pair.
-The scaling is decreased until the closed loop verifies.
+The scaling is halved until the closed loop verifies. For AWGN designs
+with two or more active inputs the channel powers are a Laurent polynomial
+in the scaling, whose coefficients one Lyapunov solve on the loop in
+decomposition coordinates gives; the verified search starts at the first
+scaling that polynomial predicts to pass, and ``analyze`` decides there.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ from .errors import (
     EpsilonExhausted,
     IllConditioned,
     InvalidInput,
+    NetstabError,
 )
 from .majorize import (
     STRICT_WEAK_ABOVE,
@@ -102,13 +107,14 @@ class CoDesign:
         return self.T.shape[0]
 
 
-def synthesize_gain(d: CyclicDecomposition) -> np.ndarray:
+def synthesize_gain(d: CyclicDecomposition, block: bool = False):
     """State feedback gain built from per-block minimum-energy Riccati gains.
 
     Each single-input block receives ``f_i = -b_i' X_i`` where ``X_i`` is
     the stabilizing solution of the zero-state-weight Riccati equation; the
-    block-diagonal gain is padded with zero rows for unused inputs and
-    mapped back through the decomposition transformations. Each block's
+    block-diagonal gain ``F_bar`` is padded with zero rows for unused inputs
+    and mapped back through the decomposition transformations,
+    ``F = Q F_bar P^-1``; ``block=True`` returns ``(F, F_bar)``. Each block's
     noise-to-input energy is verified to equal twice its entropy. A block
     whose Riccati solve or energy identity fails raises ``IllConditioned``
     naming the block, with ``cond(Y)`` read from the spectrum of ``X``.
@@ -142,7 +148,8 @@ def synthesize_gain(d: CyclicDecomposition) -> np.ndarray:
                 f"{2.0 * d.h[j]:.9f}; cond(Y) = {cond:.3e}",
                 block=j,
             )
-    return d.Q @ F_bar @ np.linalg.inv(d.P)
+    F = d.Q @ F_bar @ np.linalg.inv(d.P)
+    return (F, F_bar) if block else F
 
 
 def synthesize_codec(ch: ChannelEnsemble, U, epsilon: float, m: int):
@@ -209,6 +216,32 @@ def _feasibility(plant: Plant, ch: ChannelEnsemble, seed: int = 0):
     return d, check_order(*pad_to_match(capacities(ch), d.h), STRICT_WEAK_ABOVE)
 
 
+def _predicted_passes(d, B, F_bar, U, ch, m_active):
+    """Per ``EPSILON_SCHEDULE`` scaling, whether every AWGN power margin is
+    predicted to be at least 1e-9 of its power; None when the prediction
+    cannot be made (A + BF not Hurwitz).
+
+    The prediction evaluates the Laurent expansion of
+    :func:`analysis.channel_power_coefficients` on the loop in decomposition
+    coordinates, ``A_bar + B_bar F_bar`` with ``B_bar = P^-1 B Q``, at every
+    scaling at once.
+    """
+    B_bar = d.staircase(B)
+    try:
+        c = analysis.channel_power_coefficients(
+            d.block_diagonal() + B_bar @ F_bar,
+            B_bar[:, :m_active],
+            F_bar[:m_active],
+            np.sqrt(ch.noise_density)[:, None] * U,
+        )
+    except NetstabError:
+        return None
+    eps = np.array(EPSILON_SCHEDULE)[:, None]
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = (eps ** np.arange(2 - 2 * m_active, 2 * m_active - 1)) @ c
+    return np.all(ch.power - powers >= 1e-9 * ch.power, axis=1)
+
+
 def codesign(
     plant: Plant,
     ch: ChannelEnsemble,
@@ -224,6 +257,16 @@ def codesign(
     pin the scaling instead of searching. An "unstable" verdict ends the
     search at once, since the gain, and with it A + BF, does not depend on
     the scaling.
+
+    For AWGN channels with two or more active inputs the search starts at
+    the first scaling of ``EPSILON_SCHEDULE`` at which the Laurent expansion
+    of the channel powers (:func:`_predicted_passes`) predicts every margin
+    to be at least 1e-9 of its power. Each scaling it skips enters
+    ``epsilon_trail`` as "power_violation", and ``analyze`` at the start
+    gives the verdict of record; where it disagrees, the halving goes on
+    from there. The search starts from one with a single active input (the
+    scaling then has no effect), on fading channels, when A + BF is not
+    Hurwitz, and when no scaling is predicted to pass.
     """
     d, order = _feasibility(plant, ch, seed)
     if not order.holds:
@@ -243,12 +286,16 @@ def codesign(
     gamma = construct_intermediate(*pad_to_match(capacities(ch), d.h))
     lam = np.concatenate([d.h, np.zeros(m_active - d.k)])
     U = schur_horn_isometry(lam, gamma)
-    F = synthesize_gain(d)
+    F, F_bar = synthesize_gain(d, block=True)
 
     Q_inv = np.linalg.inv(d.Q)
     schedule = (float(epsilon),) if epsilon is not None else EPSILON_SCHEDULE
-    trail = []
-    for eps in schedule:
+    passes = None
+    if epsilon is None and ch.kind == AWGN and m_active >= 2:
+        passes = _predicted_passes(d, plant.B, F_bar, U, ch, m_active)
+    start = int(np.argmax(passes)) if passes is not None else 0
+    trail = [(eps, analysis.VERDICT_POWER_VIOLATION) for eps in schedule[:start]]
+    for eps in schedule[start:]:
         T_d, R_d = synthesize_codec(ch, U, eps, m_active)
         cand = CoDesign(
             kind=ch.kind,
@@ -275,10 +322,12 @@ def codesign(
                 note=note,
             )
         if rep.verdict == analysis.VERDICT_UNSTABLE:
+            # A + BF does not depend on the scaling, so a search from the
+            # first one would have stopped there with this verdict
             abscissa = float(np.max(rep.closed_loop_spectrum.real))
             raise EpsilonExhausted(
                 f"A+BF is not Hurwitz (spectral abscissa {abscissa:.6g}) at "
-                f"every codec scaling; trail: {trail}"
+                f"every codec scaling; trail: {[(schedule[0], rep.verdict)]}"
             )
     raise EpsilonExhausted(
         "no codec scaling verified "

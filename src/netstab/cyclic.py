@@ -29,6 +29,7 @@ from .errors import (
     Unstabilizable,
 )
 from .numerics import (
+    RANK_TOL,
     TAU_AXIS,
     _as_square,
     _rank_failures,
@@ -42,14 +43,19 @@ _Q_ATTEMPTS = 40
 
 class _Cluster:
     """One eigenvalue cluster: a real value or a conjugate pair (Im > 0),
-    with an orthonormal basis of its (complex) eigenspace."""
+    with orthonormal bases of its (complex) right and left eigenspaces, the
+    eigenvalues it groups and the largest singular value of A - value I."""
 
-    __slots__ = ("value", "mult", "basis", "is_pair", "col_start")
+    __slots__ = ("value", "mult", "basis", "left", "members", "norm", "is_pair",
+                 "col_start")
 
-    def __init__(self, value, mult, basis, is_pair):
+    def __init__(self, value, members, basis, left, norm, is_pair):
         self.value = value
-        self.mult = mult
+        self.mult = len(members)
+        self.members = members
         self.basis = basis  # n x mult, complex for pairs
+        self.left = left  # n x mult, complex for pairs
+        self.norm = norm
         self.is_pair = is_pair
 
     @property
@@ -86,7 +92,8 @@ def _analyze_clusters(A, evals):
     The basis of a cluster of multiplicity mu is taken from the mu smallest
     right singular directions of (A - lambda I); this stays well conditioned
     for repeated eigenvalues, where raw eigenvector columns may be nearly
-    parallel.
+    parallel. The mu smallest left singular directions of the same SVD span
+    the left eigenspace that :func:`_pbh_failures` tests.
     """
     n = A.shape[0]
     tau = eig_cluster_tolerance(A)
@@ -107,14 +114,15 @@ def _analyze_clusters(A, evals):
             continue  # conjugate partner handled by the Im > 0 member
         mult = len(g)
         shift = A - value * np.eye(n) if value.imag else A - value.real * np.eye(n)
-        _, _, Vh = np.linalg.svd(shift)
+        Us, sv, Vh = np.linalg.svd(shift)
         basis = Vh[n - mult:, :].conj().T
         if not value.imag:
             # eigenspace of a real eigenvalue of a real matrix is real
             basis = _tidy_basis(basis.real)
         else:
             basis = _tidy_basis(basis)
-        clusters.append(_Cluster(value, mult, basis, is_pair=bool(value.imag)))
+        clusters.append(_Cluster(value, g, basis, Us[:, n - mult:], float(sv[0]),
+                                 is_pair=bool(value.imag)))
     clusters.sort(key=lambda cl: (-np.real(cl.value), -abs(np.imag(cl.value))))
     return clusters
 
@@ -155,6 +163,33 @@ def _check_diagonalizable(A, clusters):
             "the matrix appears defective"
         )
     return P0, model
+
+
+def _pbh_failures(clusters, B, evals):
+    """The PBH failures of ``_rank_failures`` on a diagonalizable A, read off
+    its clusters in Hautus form.
+
+    rank [A - lambda I, B] < n exactly when a left eigenvector w of lambda
+    has w^H B = 0, so a cluster with an eigenvalue of Re >= -TAU_AXIS fails
+    when sigma_min(W^H B) <= RANK_TOL * hypot(||A - lambda I||, ||B||), W
+    its left eigenspace basis; the hypot bounds the largest singular value
+    of [A - lambda I, B] within a factor sqrt(2). Returns the eigenvalues of
+    ``evals`` with Re >= -TAU_AXIS in a failing cluster or conjugate to one,
+    in their order in ``evals``.
+    """
+    norm_B = float(np.linalg.norm(B, 2))
+    m = B.shape[1]
+    failed = set()
+    for cl in clusters:
+        if max(lam.real for lam in cl.members) < -TAU_AXIS:
+            continue
+        coupling = (np.linalg.svd(cl.left.conj().T @ B, compute_uv=False)[-1]
+                    if cl.mult <= m else 0.0)
+        if coupling <= RANK_TOL * np.hypot(cl.norm, norm_B):
+            failed.update(cl.members)
+            failed.update(np.conj(cl.members))
+    return tuple(complex(lam) for lam in evals
+                 if lam.real >= -TAU_AXIS and lam in failed)
 
 
 def cyclic_index(A) -> int:
@@ -290,11 +325,11 @@ def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
     A, B = plant.A, plant.B
     m = plant.m
     evals = np.linalg.eigvals(A)
-    failures = _rank_failures(A, B, evals)
-    if failures:
-        raise Unstabilizable(f"plant fails the PBH test at eigenvalues {failures}")
     clusters = _analyze_clusters(A, evals)
     P, model = _check_diagonalizable(A, clusters)
+    failures = _pbh_failures(clusters, B, evals)
+    if failures:
+        raise Unstabilizable(f"plant fails the PBH test at eigenvalues {failures}")
     k = max(cl.mult for cl in clusters)
     if k > m:
         raise DecompositionFailed(

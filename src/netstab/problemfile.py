@@ -14,7 +14,12 @@ libyaml's C scanner and parser (``yaml.CSafeLoader``) read the document when
 PyYAML was built with it, and PyYAML's pure-Python ones otherwise. Either way
 PyYAML's Python resolver and safe constructor build the values, so a number
 is a number by the same rules and every value and line map is the same;
-syntax errors carry the same line, in libyaml's or PyYAML's wording.
+syntax errors carry the same line, in libyaml's or PyYAML's wording. The one
+shortcut: an item of a sequence that the resolver tags float or int, and
+whose text is plain decimal (digits, sign, point and exponent, no ``_``,
+``:``, ``.inf``, ``.nan``, base prefix or leading zero), is built by Python's
+``float`` or ``int``, which read such text exactly as the safe constructor
+does; every other node goes through the safe constructor.
 """
 
 from __future__ import annotations
@@ -54,8 +59,31 @@ class _TrackedDict(dict):
         self.start_line: int = 0
 
 
+#: resolved scalar tag -> (text that Python's constructor reads exactly as
+#: PyYAML's does: decimal, with no "_", ":", ".inf", ".nan", base prefix or
+#: octal leading zero; that constructor)
+_DECIMAL = {
+    "tag:yaml.org,2002:float": (
+        re.compile(r"[-+]?(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][-+]?[0-9]+)?"), float),
+    "tag:yaml.org,2002:int": (re.compile(r"[-+]?(?:0|[1-9][0-9]*)"), int),
+}
+
+
 class _StrictLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
-    pass
+    def construct_sequence(self, node, deep=False):
+        """The sequence's items, each scalar resolved as a float or int with
+        decimal text built by ``float`` or ``int`` directly, every other item
+        by ``construct_object``."""
+        if not isinstance(node, yaml.SequenceNode):
+            return super().construct_sequence(node, deep)
+        items = []
+        for child in node.value:
+            direct = _DECIMAL.get(child.tag) if isinstance(child, yaml.ScalarNode) else None
+            if direct is not None and direct[0].fullmatch(child.value):
+                items.append(direct[1](child.value))
+            else:
+                items.append(self.construct_object(child, deep=deep))
+        return items
 
 
 def _construct_mapping(loader, node):

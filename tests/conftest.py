@@ -1,7 +1,11 @@
 """Shared fixtures: the four-state benchmark plant and its two channel banks,
-the single-input conditioning ladder, and a counter of eigen-solves and Schur
-forms."""
+the single-input conditioning ladder, the benchmark's generated problems,
+and a counter of eigen-solves and Schur forms."""
 
+import functools
+import importlib.util
+import pathlib
+import sys
 from collections import Counter
 
 import numpy as np
@@ -75,3 +79,23 @@ def ladder_block(seed, n):
     poles = np.linspace(0.5, 3.0, n // 2)
     A = S @ np.diag(np.concatenate([poles, -poles])) @ S.T
     return A, rng.normal(size=(n, 1))
+
+
+@functools.cache
+def benchmark_inputs():
+    """``benchmark/inputs.py``, the benchmark's seeded problem generators."""
+    path = pathlib.Path(__file__).resolve().parent.parent / "benchmark" / "inputs.py"
+    spec = importlib.util.spec_from_file_location("benchmark_inputs", path)
+    inputs = importlib.util.module_from_spec(spec)
+    # its dataclass looks its module up by name
+    sys.modules[spec.name] = inputs
+    spec.loader.exec_module(inputs)
+    return inputs
+
+
+@functools.cache
+def benchmark_instances(seed):
+    """The ``sweep`` and ``ladder`` instances the benchmark draws for ``seed``;
+    ``benchmark_inputs().problem_text`` writes their problem files."""
+    inputs = benchmark_inputs()
+    return tuple(inputs.sweep_instances(seed) + inputs.ladder_instances(seed))

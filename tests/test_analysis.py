@@ -1,4 +1,5 @@
 import os
+import re
 
 import mpmath
 import numpy as np
@@ -8,6 +9,7 @@ from scipy import linalg
 
 from conftest import U_BENCH_FADING, nearest_isometry
 from netstab.analysis import (
+    MAX_GRID_STEPS,
     StateSpace,
     _ms_loop,
     _ms_lyapunov_coordinates,
@@ -27,7 +29,7 @@ from netstab.analysis import (
 )
 from netstab.cli import main
 from netstab.codesign import CoDesign, codesign, synthesize_codec
-from netstab.errors import NetstabError, NotHurwitz
+from netstab.errors import InvalidInput, NetstabError, NotHurwitz
 from netstab.numerics import (
     integrate_linear_matrix_ode,
     solve_care_stabilizing,
@@ -307,6 +309,15 @@ class TestSampleGrid:
             for dt in (0.1, 0.3, 1 / 3):
                 self.check(k * dt, dt)
         self.check(1.0, 2.0)
+
+    def test_step_count_is_capped_before_allocating(self):
+        assert MAX_GRID_STEPS == 1_000_000
+        self.check(1.0, 2e-6)
+        for dt, count in ((1e-8, "1e+09"), (1e-300, "1e+301"), (5e-324, "inf")):
+            with pytest.raises(InvalidInput, match=(
+                    rf"^t_end 10.0 and dt {dt!r} need {re.escape(count)} time steps, "
+                    "more than the 1000000 a sample grid may hold$")):
+                _sample_grid(10.0, dt)
 
 
 class TestCovarianceSimulation:

@@ -2,12 +2,15 @@ import importlib
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from conftest import (
     F_BENCH,
     U_BENCH_AWGN,
     U_BENCH_FADING,
+    benchmark_instances,
     ladder_block,
     nearest_isometry,
 )
@@ -15,6 +18,7 @@ from netstab import analysis
 from netstab.analysis import analyze, channel_powers_awgn, closed_loop
 from netstab.codesign import (
     CoDesign,
+    CoDesignResult,
     check_corollaries,
     codesign,
     synthesize_codec,
@@ -26,6 +30,7 @@ from netstab.errors import (
     EpsilonExhausted,
     IllConditioned,
     InvalidInput,
+    NetstabError,
     Unstabilizable,
 )
 from netstab.numerics import RICCATI
@@ -183,7 +188,9 @@ class TestCoDesignPipeline:
 
         # the package exports the function codesign under the module's name
         module = importlib.import_module("netstab.codesign")
-        monkeypatch.setattr(module, "synthesize_gain", lambda d: np.zeros((2, 4)))
+        zero = np.zeros((2, 4))
+        monkeypatch.setattr(module, "synthesize_gain",
+                            lambda d, block=False: (zero, zero) if block else zero)
         monkeypatch.setattr(analysis, "analyze", counting_analyze)
         with pytest.raises(EpsilonExhausted, match=r"spectral abscissa 4\b"):
             codesign(bench_plant, bench_awgn)
@@ -220,6 +227,135 @@ class TestCoDesignPipeline:
         assert res.design.T.shape == (1, 2)
         mid = res.design.R @ res.design.T
         assert np.max(np.abs(mid @ res.design.F - res.design.F)) <= 1e-9
+
+
+def _searched(plant, ch, monkeypatch):
+    """``(started, predicted, from_one)``: ``codesign``'s outcome with its
+    predicted start, the per-scaling predictions it started from, and its
+    outcome when every scaling from one is verified by ``analyze``. An
+    outcome is the result, or the type and message of the error raised."""
+    module = importlib.import_module("netstab.codesign")
+    original = module._predicted_passes
+    predicted = []
+
+    def outcome():
+        try:
+            return codesign(plant, ch)
+        except NetstabError as exc:
+            return type(exc), str(exc)
+
+    def recorded(*args):
+        predicted.append(original(*args))
+        return predicted[-1]
+
+    with monkeypatch.context() as mp:
+        mp.setattr(module, "_predicted_passes", recorded)
+        started = outcome()
+    with monkeypatch.context() as mp:
+        mp.setattr(module, "_predicted_passes", lambda *args: None)
+        from_one = outcome()
+    return started, predicted[0] if predicted else None, from_one
+
+
+def assert_prediction_matches_analyze(plant, ch, monkeypatch):
+    """The predicted start changes nothing: ``codesign`` ends as the search
+    from one does, and the expansion's verdict equals ``analyze``'s at every
+    scaling up to the accepted one. Returns the accepted trail."""
+    started, predicted, from_one = _searched(plant, ch, monkeypatch)
+    if not isinstance(from_one, CoDesignResult):
+        assert started == from_one
+        return ()
+    trail = from_one.epsilon_trail
+    assert started.epsilon_trail == trail
+    assert started.design.epsilon == from_one.design.epsilon
+    assert np.array_equal(started.report.margins, from_one.report.margins)
+    if started.design.m_active >= 2:
+        assert predicted is not None
+        assert list(predicted[: len(trail)]) == [
+            verdict == "stabilized" for _, verdict in trail]
+    return trail
+
+
+def _ladder(seed, n):
+    """The benchmark's ladder plants at size ``n`` for ``seed``, with channels."""
+    return [(Plant(A=inst.A, B=inst.B), ChannelEnsemble(kind=inst.kind, **inst.params))
+            for inst in benchmark_instances(seed) if inst.name.startswith(f"ladder_n{n}_")]
+
+
+@st.composite
+def two_block_awgn(draw):
+    """Sweep-style AWGN plant with a double unstable eigenvalue, so two
+    cyclic blocks and two active inputs: S diag(eigenvalues) S^-1 with
+    cond(S) < 40 and eigenvalues at least 0.6 apart, 2..4 equal
+    subchannels carrying 1.2-1.7 times the entropy."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 6))
+    grid = np.array([-2.6, -1.8, -1.0, -0.4, 0.4, 1.0, 1.8, 2.6])
+    double = rng.choice(grid[grid > 0])
+    rest = rng.choice(grid[grid != double], size=n - 2, replace=False)
+    S = rng.normal(size=(n, n))
+    assume(np.linalg.cond(S) < 40)
+    A = S @ np.diag(np.concatenate([[double, double], rest])) @ np.linalg.inv(S)
+    B = rng.normal(size=(n, 2))
+    entropy = double + np.sum(np.maximum(np.concatenate([[double], rest]), 0.0))
+    count = int(rng.integers(2, 5))
+    noise = rng.uniform(0.5, 2.0, size=count)
+    capacity = rng.uniform(1.2, 1.7) * entropy / count
+    ch = ChannelEnsemble(kind="awgn", power=2.0 * capacity * noise, noise_density=noise)
+    return Plant(A=A, B=B), ch
+
+
+class TestPredictedStart:
+    """The search for the codec scaling starts where the Laurent expansion of
+    the AWGN channel powers predicts the first pass."""
+
+    def test_demo(self, bench_plant, bench_awgn, monkeypatch):
+        trail = assert_prediction_matches_analyze(bench_plant, bench_awgn, monkeypatch)
+        assert trail[-1][1] == "stabilized"
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n", [16, 24])
+    def test_benchmark_ladder(self, seed, n, monkeypatch):
+        lengths = [len(assert_prediction_matches_analyze(plant, ch, monkeypatch))
+                   for plant, ch in _ladder(seed, n)]
+        # the rungs need halvings, which the predicted start skips
+        assert max(lengths) >= 3
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(two_block_awgn())
+    def test_two_block_sweep_plants(self, problem):
+        with pytest.MonkeyPatch.context() as mp:
+            assert_prediction_matches_analyze(*problem, mp)
+
+    def test_schur_forms_do_not_grow_with_the_trail(self, factorizations):
+        plant, ch = max(_ladder(1, 24), key=lambda p: len(codesign(*p).epsilon_trail))
+        factorizations.clear()
+        res = codesign(plant, ch)
+        searched = factorizations["schur"]
+        factorizations.clear()
+        codesign(plant, ch, epsilon=res.design.epsilon)
+        # the expansion's one stacked Lyapunov solve, then one analyze
+        assert len(res.epsilon_trail) >= 5
+        assert searched == factorizations["schur"] + 1
+
+    @pytest.mark.parametrize("start", [None, 5])
+    def test_unstable_loop_keeps_its_message(self, start, bench_plant, bench_awgn,
+                                             monkeypatch):
+        # with A + BF not Hurwitz the expansion cannot be built (None), or a
+        # start predicted past one meets the unstable loop (5); either way
+        # the trail is that of the search from one, which stops at once
+        module = importlib.import_module("netstab.codesign")
+        zero = np.zeros((2, 4))
+        monkeypatch.setattr(module, "synthesize_gain",
+                            lambda d, block=False: (zero, zero) if block else zero)
+        if start is not None:
+            monkeypatch.setattr(module, "_predicted_passes",
+                                lambda *args: np.arange(60) >= start)
+        with pytest.raises(EpsilonExhausted) as exc:
+            codesign(bench_plant, bench_awgn)
+        assert str(exc.value) == (
+            "A+BF is not Hurwitz (spectral abscissa 4) at every codec scaling; "
+            "trail: [(1.0, 'unstable')]")
 
 
 class TestDesignAgainstChannel:

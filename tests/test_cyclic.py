@@ -1,16 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import linalg
 
+from conftest import benchmark_instances
 from netstab.codesign import codesign
 from netstab.cyclic import (
     CyclicDecomposition,
+    _analyze_clusters,
+    _check_diagonalizable,
+    _pbh_failures,
     cyclic_decompose,
     cyclic_index,
     verify_decomposition,
 )
 from netstab.errors import DecompositionFailed, NotDiagonalizable, Unstabilizable
+from netstab.numerics import _rank_failures
 from netstab.plantmodel import ChannelEnsemble, Plant, topological_entropy
 
 
@@ -217,3 +224,71 @@ class TestDecomposeProperties:
         d2 = cyclic_decompose(bench_plant, seed=0)
         assert_allclose(d1.P, d2.P)
         assert_allclose(d1.Q, d2.Q)
+
+
+def _cut(A, B, lam):
+    """B with a left eigenvector of A at ``lam``, the last left singular
+    vector of A - lam I, projected out of its columns (for a non-real ``lam``
+    its real and imaginary parts), so that rank [A - lam I, B] < n."""
+    w = np.linalg.svd(A - lam * np.eye(A.shape[0]))[0][:, -1:]
+    pair = abs(lam.imag) > 1e-8
+    basis, _ = np.linalg.qr(np.hstack([w.real, w.imag]) if pair else w.real)
+    return B - basis @ (basis.T @ B)
+
+
+def assert_pbh_verdicts_agree(A, B):
+    """The cluster Hautus test names the eigenvalues the pencil test names,
+    and ``cyclic_decompose`` raises Unstabilizable with them, if any."""
+    evals = np.linalg.eigvals(A)
+    clusters = _analyze_clusters(A, evals)
+    _check_diagonalizable(A, clusters)
+    failures = _rank_failures(A, B, evals)
+    assert _pbh_failures(clusters, B, evals) == failures
+    if failures:
+        with pytest.raises(Unstabilizable) as exc:
+            cyclic_decompose(Plant(A=A, B=B))
+        assert str(exc.value) == f"plant fails the PBH test at eigenvalues {failures}"
+    return failures
+
+
+class TestClusterPbh:
+    """The decomposition's PBH test, read off the cluster SVDs in Hautus
+    form, agrees with the pencil test of ``numerics._rank_failures``."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_benchmark_plants(self, seed):
+        for inst in benchmark_instances(seed):
+            assert assert_pbh_verdicts_agree(inst.A, inst.B) == ()
+            evals = np.linalg.eigvals(inst.A)
+            unstable = evals[evals.real > 0]
+            if unstable.size:
+                lam = unstable[np.argmax(unstable.imag)]
+                assert lam in assert_pbh_verdicts_agree(inst.A, _cut(inst.A, inst.B, lam))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.floats(0.0, 5.0),
+           st.booleans())
+    def test_ill_conditioned_eigenbases(self, seed, n, log_cond, cut):
+        # S = X diag(geomspace(1, 10^-log_cond)) Y' with X, Y orthogonal
+        rng = np.random.default_rng(seed)
+        X, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        Y, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        S = X @ np.diag(np.geomspace(1.0, 10.0**-log_cond, n)) @ Y.T
+        cells = [np.array([[a, b], [-b, a]]) if b else np.array([[a]])
+                 for a, b in zip(rng.choice([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], size=n),
+                                 rng.choice([0.0, 0.0, 0.7, 1.4], size=n))]
+        cells = cells[: np.searchsorted(np.cumsum([len(c) for c in cells]), n, "right")]
+        D = linalg.block_diag(*cells, *[[[-3.0]]] * (n - sum(map(len, cells))))
+        A = S @ D @ np.linalg.inv(S)
+        B = rng.normal(size=(n, int(rng.integers(1, 3))))
+        if cut:
+            evals = np.linalg.eigvals(A)
+            B = _cut(A, B, evals[np.argmax(evals.real)])
+        assert_pbh_verdicts_agree(A, B)
+
+    def test_defective_and_unstabilizable_is_not_diagonalizable(self):
+        # the Hautus test needs the eigenbasis, so the basis check comes first
+        p = Plant(A=np.array([[1.0, 1.0], [0.0, 1.0]]), B=np.array([[1.0], [0.0]]))
+        assert _rank_failures(p.A, p.B, np.linalg.eigvals(p.A))
+        with pytest.raises(NotDiagonalizable):
+            cyclic_decompose(p)

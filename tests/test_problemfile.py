@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from conftest import benchmark_inputs, benchmark_instances
 from netstab import problemfile
 from netstab.errors import DimensionMismatch, InvariantViolation, NetstabError, ParseError
 from netstab.problemfile import _construct_mapping, _StrictLoader, parse_problem_file
@@ -369,6 +370,40 @@ def test_libyaml_scans_when_built_in():
     (pathlib.Path(__file__).parent.parent / "problems").glob("*.yaml")), ids=lambda p: p.name)
 def test_loaders_agree_on_the_demo_problems(path):
     assert_loaders_agree(path.read_text(encoding="utf-8"))
+
+
+class _ObjectLoader(_StrictLoader):
+    """The strict loader with every sequence item built by ``construct_object``."""
+
+    construct_sequence = yaml.constructor.BaseConstructor.construct_sequence
+
+
+def assert_direct_numbers_agree(text):
+    assert (_tree(yaml.load(text, Loader=_StrictLoader))
+            == _tree(yaml.load(text, Loader=_ObjectLoader)))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_direct_numbers_on_the_benchmark_problems(seed):
+    for inst in benchmark_instances(seed):
+        assert_direct_numbers_agree(benchmark_inputs().problem_text(inst))
+
+
+@pytest.mark.parametrize("path", sorted(
+    (pathlib.Path(__file__).parent.parent / "problems").glob("*.yaml")), ids=lambda p: p.name)
+def test_direct_numbers_on_the_demo_problems(path):
+    assert_direct_numbers_agree(path.read_text(encoding="utf-8"))
+
+
+def test_direct_numbers_leave_other_scalars_to_the_constructor():
+    # octal, binary, hex, base 60, underscores, inf, nan, explicit tags and
+    # strings, flat and nested: each item reads as construct_object reads it
+    items = ("017, -017, 0b11, 0x1F, 1_000, 1:30, 190:20:30.15, .inf, -.Inf, .nan, "
+             "+1.5, -0.0, 1.0e+3, 1.0E-3, 1., .5, 00.5, +0, -0, 12, !!float 1, "
+             "!!float 1.5e3, !!float '2.5', !!int '42', !!int '017', '1.5', 1e3, "
+             "~, true, [1.5, 017]")
+    assert_direct_numbers_agree(f"a: [{items}]\nb:\n  - [{items}]\n")
+    assert yaml.load("[017, 1.0e+3, 1e3]", Loader=_StrictLoader) == [15, 1000.0, "1e3"]
 
 
 def _yaml_float(x):

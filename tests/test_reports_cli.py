@@ -325,10 +325,14 @@ class TestCli:
         ["simulate", FADING_FILE, "--t-end", "inf"],
         ["simulate", FADING_FILE, "--t-end", "nan"],
         ["simulate", FADING_FILE, "--dt", "nan"],
-    ], ids=["seed-flag", "seed-in-file", "t-end-inf", "t-end-nan", "dt-nan"])
+        ["simulate", FADING_FILE, "--dt", "1e-300"],
+        ["simulate", FADING_FILE, "--dt", "1e-8"],
+    ], ids=["seed-flag", "seed-in-file", "t-end-inf", "t-end-nan", "dt-nan",
+            "dt-1e-300", "dt-1e-8"])
     def test_bad_run_option_is_a_typed_error(self, argv, tmp_path, capsys):
-        # a negative seed, and a horizon or step that is not a positive
-        # finite number, are errors of the run, not crashes or verdicts
+        # a negative seed, a horizon or step that is not a positive finite
+        # number, and a step that puts more than MAX_GRID_STEPS steps on the
+        # horizon are errors of the run, not crashes or verdicts
         seeded = tmp_path / "seed.yaml"
         seeded.write_text(open(AWGN_FILE).read() + "options:\n  seed: -3\n")
         assert self.run(*[str(seeded) if a == "seed_in_file" else a for a in argv]) == 2
