@@ -26,8 +26,9 @@ VERDICT_MS_NORM_VIOLATION = "ms_norm_violation"
 #: Trajectories are decimated to at most this many samples.
 MAX_TRAJECTORY_SAMPLES = 10_000
 
-#: Largest number of time steps a sample grid may hold before decimation.
-MAX_GRID_STEPS = 1_000_000
+#: Largest number of time steps a sample grid may hold before decimation:
+#: 0.8 GB per float64 array of the grid, 2.6 GB at the peak of its build.
+MAX_GRID_STEPS = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ def channel_powers_awgn(ss: StateSpace, noise_density) -> np.ndarray:
     return np.maximum(np.einsum("in,nm,im->i", ss.Ccl, L, ss.Ccl), 0.0)
 
 
-def channel_power_coefficients(Acl, B, F, W) -> np.ndarray:
+def channel_power_coefficients(Acl, B, F, W):
     """Laurent coefficients of the AWGN channel powers in the codec scaling.
 
     The loop ``Acl`` is driven through the columns b_j of ``B`` scaled by
@@ -121,18 +122,26 @@ def channel_power_coefficients(Acl, B, F, W) -> np.ndarray:
         power_i(eps) = sum_k c[k, i] eps^(k - 2(m-1)),
         c[k, i] = sum over 2j - a - b = k - 2(m-1) of W_ia W_ib f_a' L_j f_b.
 
-    One stacked Lyapunov solve gives every L_j; its errors (``NotHurwitz``
-    for a loop that is not Hurwitz) pass through.
+    Returns ``c`` and ``scale``, the same sums over the bounds
+    |W_ia W_ib| |f_a| |f_b| tr(L_j) of the terms' magnitudes: the rounding
+    error of ``c``, a coefficient that is zero by structure included, is a
+    small multiple of ``scale``. One stacked Lyapunov solve gives every
+    L_j; its errors (``NotHurwitz`` for a loop that is not Hurwitz) pass
+    through.
     """
     m = B.shape[1]
     L = solve_lyapunov(Acl, np.einsum("nj,mj->jnm", B, B))
     G = np.einsum("an,jnk,bk->jab", F, L, F)
+    f = np.linalg.norm(F, axis=1)
+    G_max = np.trace(L, axis1=1, axis2=2)[:, None, None] * np.outer(f, f)
     j, a, b = np.indices(G.shape)
+    k = (2 * j - a - b + 2 * m - 2).ravel()
     Wt = np.asarray(W, dtype=float).T
     c = np.zeros((4 * m - 3, Wt.shape[1]))
-    np.add.at(c, (2 * j - a - b + 2 * m - 2).ravel(),
-              (G[..., None] * Wt[a] * Wt[b]).reshape(-1, Wt.shape[1]))
-    return c
+    scale = np.zeros_like(c)
+    np.add.at(c, k, (G[..., None] * Wt[a] * Wt[b]).reshape(-1, Wt.shape[1]))
+    np.add.at(scale, k, (G_max[..., None] * np.abs(Wt[a] * Wt[b])).reshape(-1, Wt.shape[1]))
+    return c, scale
 
 
 def ms_norm(ss: StateSpace, phi) -> float:
@@ -271,10 +280,12 @@ def _sample_grid(t_end: float, dt: float):
     step shortened to end at ``t_end``, decimated to every stride-th sample
     and the last one so that at most ``MAX_TRAJECTORY_SAMPLES`` remain.
 
-    Returns the kept times and the stride. A grid of more than
-    ``MAX_GRID_STEPS`` = 1e6 steps, about 24 MB while it is built (the
-    fading demo's horizon grid to t = 304 has 7 604), raises InvalidInput
-    before anything is allocated.
+    Returns the kept times and the stride. The build peaks at 26 bytes a
+    step (the steps, their sums and the masks that find the last one), so a
+    grid of more than ``MAX_GRID_STEPS`` = 1e8 steps, over 2.6 GB, raises
+    InvalidInput before anything is allocated; 1e9 steps, 26 GB, is past
+    the memory of most machines. The fading demo's horizon grid to t = 304
+    has 7 604 steps.
     """
     count = np.ceil(t_end / dt)
     if not count <= MAX_GRID_STEPS:

@@ -9,7 +9,10 @@ The scaling is halved until the closed loop verifies. For AWGN designs
 with two or more active inputs the channel powers are a Laurent polynomial
 in the scaling, whose coefficients one Lyapunov solve on the loop in
 decomposition coordinates gives; the verified search starts at the first
-scaling that polynomial predicts to pass, and ``analyze`` decides there.
+scaling that polynomial does not predict to fail beyond its rounding, and
+``analyze`` decides from there. The search starts from one with a single
+active input, on fading channels, when A + BF is not Hurwitz and when
+every scaling is predicted to fail.
 """
 
 from __future__ import annotations
@@ -107,14 +110,14 @@ class CoDesign:
         return self.T.shape[0]
 
 
-def synthesize_gain(d: CyclicDecomposition, block: bool = False):
+def synthesize_gain(d: CyclicDecomposition):
     """State feedback gain built from per-block minimum-energy Riccati gains.
 
     Each single-input block receives ``f_i = -b_i' X_i`` where ``X_i`` is
     the stabilizing solution of the zero-state-weight Riccati equation; the
     block-diagonal gain ``F_bar`` is padded with zero rows for unused inputs
     and mapped back through the decomposition transformations,
-    ``F = Q F_bar P^-1``; ``block=True`` returns ``(F, F_bar)``. Each block's
+    ``F = Q F_bar P^-1``. Returns ``(F, F_bar)``. Each block's
     noise-to-input energy is verified to equal twice its entropy. A block
     whose Riccati solve or energy identity fails raises ``IllConditioned``
     naming the block, with ``cond(Y)`` read from the spectrum of ``X``.
@@ -148,8 +151,7 @@ def synthesize_gain(d: CyclicDecomposition, block: bool = False):
                 f"{2.0 * d.h[j]:.9f}; cond(Y) = {cond:.3e}",
                 block=j,
             )
-    F = d.Q @ F_bar @ np.linalg.inv(d.P)
-    return (F, F_bar) if block else F
+    return d.Q @ F_bar @ np.linalg.inv(d.P), F_bar
 
 
 def synthesize_codec(ch: ChannelEnsemble, U, epsilon: float, m: int):
@@ -194,8 +196,11 @@ class CoDesignResult:
 
     ``feasible`` mirrors the majorization verdict exactly. On feasible
     instances ``design`` is a verified co-design, ``report`` its analysis,
-    and ``epsilon_trail`` lists the scalings that were tried (the accepted
-    one last). On infeasible instances only ``order`` and ``decomposition``
+    and ``epsilon_trail`` lists the scalings that were tried with their
+    verdicts (the accepted one last). For AWGN designs with two or more
+    active inputs the "power_violation" entries before the first scaling
+    ``analyze`` ran at are predicted by the Laurent expansion of the channel
+    powers, not verified (see :func:`codesign`). On infeasible instances only ``order`` and ``decomposition``
     are populated; the violated prefix margins live in ``order.slack``.
     """
 
@@ -216,19 +221,28 @@ def _feasibility(plant: Plant, ch: ChannelEnsemble, seed: int = 0):
     return d, check_order(*pad_to_match(capacities(ch), d.h), STRICT_WEAK_ABOVE)
 
 
+#: Relative rounding allowance of the predicted channel powers, per unit of
+#: the magnitude bound of their terms.
+_PREDICTION_RTOL = 1e-8
+
+
 def _predicted_passes(d, B, F_bar, U, ch, m_active):
-    """Per ``EPSILON_SCHEDULE`` scaling, whether every AWGN power margin is
-    predicted to be at least 1e-9 of its power; None when the prediction
-    cannot be made (A + BF not Hurwitz).
+    """Per ``EPSILON_SCHEDULE`` scaling, False where some AWGN power margin
+    is predicted to fall short of 1e-9 of its power by more than the
+    prediction's rounding allowance; None when the prediction cannot be made
+    (A + BF not Hurwitz).
 
     The prediction evaluates the Laurent expansion of
     :func:`analysis.channel_power_coefficients` on the loop in decomposition
     coordinates, ``A_bar + B_bar F_bar`` with ``B_bar = P^-1 B Q``, at every
-    scaling at once.
+    scaling at once. The allowance is ``_PREDICTION_RTOL`` times the
+    expansion's magnitude bound at that scaling, so the rounding residue of
+    a coefficient that is zero by structure, multiplied by up to
+    eps^-(2m-2), cannot make a scaling look failed.
     """
     B_bar = d.staircase(B)
     try:
-        c = analysis.channel_power_coefficients(
+        c, scale = analysis.channel_power_coefficients(
             d.block_diagonal() + B_bar @ F_bar,
             B_bar[:, :m_active],
             F_bar[:m_active],
@@ -238,8 +252,9 @@ def _predicted_passes(d, B, F_bar, U, ch, m_active):
         return None
     eps = np.array(EPSILON_SCHEDULE)[:, None]
     with np.errstate(over="ignore", invalid="ignore"):
-        powers = (eps ** np.arange(2 - 2 * m_active, 2 * m_active - 1)) @ c
-    return np.all(ch.power - powers >= 1e-9 * ch.power, axis=1)
+        powers = eps ** np.arange(2 - 2 * m_active, 2 * m_active - 1)
+        shortfall = 1e-9 * ch.power - (ch.power - powers @ c)
+        return ~np.any(shortfall > _PREDICTION_RTOL * (powers @ scale), axis=1)
 
 
 def codesign(
@@ -259,12 +274,12 @@ def codesign(
     the scaling.
 
     For AWGN channels with two or more active inputs the search starts at
-    the first scaling of ``EPSILON_SCHEDULE`` at which the Laurent expansion
-    of the channel powers (:func:`_predicted_passes`) predicts every margin
-    to be at least 1e-9 of its power. Each scaling it skips enters
-    ``epsilon_trail`` as "power_violation", and ``analyze`` at the start
-    gives the verdict of record; where it disagrees, the halving goes on
-    from there. The search starts from one with a single active input (the
+    the first scaling of ``EPSILON_SCHEDULE`` that the Laurent expansion of
+    the channel powers (:func:`_predicted_passes`) does not predict to miss
+    a margin of 1e-9 of its power by more than its rounding allowance. Each
+    scaling it skips enters ``epsilon_trail`` as a predicted, not verified,
+    "power_violation", and ``analyze`` at the start gives the verdict of
+    record; where it disagrees, the halving goes on from there. The search starts from one with a single active input (the
     scaling then has no effect), on fading channels, when A + BF is not
     Hurwitz, and when no scaling is predicted to pass.
     """
@@ -286,7 +301,7 @@ def codesign(
     gamma = construct_intermediate(*pad_to_match(capacities(ch), d.h))
     lam = np.concatenate([d.h, np.zeros(m_active - d.k)])
     U = schur_horn_isometry(lam, gamma)
-    F, F_bar = synthesize_gain(d, block=True)
+    F, F_bar = synthesize_gain(d)
 
     Q_inv = np.linalg.inv(d.Q)
     schedule = (float(epsilon),) if epsilon is not None else EPSILON_SCHEDULE

@@ -44,18 +44,20 @@ _Q_ATTEMPTS = 40
 class _Cluster:
     """One eigenvalue cluster: a real value or a conjugate pair (Im > 0),
     with orthonormal bases of its (complex) right and left eigenspaces, the
-    eigenvalues it groups and the largest singular value of A - value I."""
+    eigenvalues it groups, and the largest singular value of A - value I and
+    the smallest one outside its mult smallest (inf when mult = n)."""
 
-    __slots__ = ("value", "mult", "basis", "left", "members", "norm", "is_pair",
-                 "col_start")
+    __slots__ = ("value", "mult", "basis", "left", "members", "norm", "gap",
+                 "is_pair", "col_start")
 
-    def __init__(self, value, members, basis, left, norm, is_pair):
+    def __init__(self, value, members, basis, left, sv, is_pair):
         self.value = value
         self.mult = len(members)
         self.members = members
         self.basis = basis  # n x mult, complex for pairs
         self.left = left  # n x mult, complex for pairs
-        self.norm = norm
+        self.norm = float(sv[0])
+        self.gap = float(sv[-self.mult - 1]) if self.mult < len(sv) else np.inf
         self.is_pair = is_pair
 
     @property
@@ -121,7 +123,7 @@ def _analyze_clusters(A, evals):
             basis = _tidy_basis(basis.real)
         else:
             basis = _tidy_basis(basis)
-        clusters.append(_Cluster(value, g, basis, Us[:, n - mult:], float(sv[0]),
+        clusters.append(_Cluster(value, g, basis, Us[:, n - mult:], sv,
                                  is_pair=bool(value.imag)))
     clusters.sort(key=lambda cl: (-np.real(cl.value), -abs(np.imag(cl.value))))
     return clusters
@@ -165,31 +167,40 @@ def _check_diagonalizable(A, clusters):
     return P0, model
 
 
-def _pbh_failures(clusters, B, evals):
-    """The PBH failures of ``_rank_failures`` on a diagonalizable A, read off
-    its clusters in Hautus form.
+def _pbh_failures(A, B, clusters, evals):
+    """``_rank_failures(A, B, evals)``, with the clusters whose eigenvalues
+    provably pass read off their SVDs in Hautus form.
 
-    rank [A - lambda I, B] < n exactly when a left eigenvector w of lambda
-    has w^H B = 0, so a cluster with an eigenvalue of Re >= -TAU_AXIS fails
-    when sigma_min(W^H B) <= RANK_TOL * hypot(||A - lambda I||, ||B||), W
-    its left eigenspace basis; the hypot bounds the largest singular value
-    of [A - lambda I, B] within a factor sqrt(2). Returns the eigenvalues of
-    ``evals`` with Re >= -TAU_AXIS in a failing cluster or conjugate to one,
-    in their order in ``evals``.
+    With S = A - value I = U diag(sv) V^H, W the left singular vectors of
+    its mult smallest singular values, h = sigma_min(W^H B) and g the
+    smallest of the other singular values, splitting a unit vector along W
+    and its complement bounds sigma_min [S, B] from below by
+    g h / |(g, h, ||B||)|, and by h when W spans the space. At a member lambda, |lambda - value| = delta
+    moves every singular value by at most delta (Weyl), so the pencil test
+    passes there when the bound less delta exceeds RANK_TOL times
+    hypot(||S||, ||B||) + delta, which is at least sigma_max [A - lambda I,
+    B]; a factor 2 keeps rounding on the safe side. The bound is loose when
+    g is small, as at a nearly defective A, and the pencil test decides
+    every cluster with an eigenvalue of Re >= -TAU_AXIS that the bound does
+    not clear (and the conjugates of its members).
     """
     norm_B = float(np.linalg.norm(B, 2))
     m = B.shape[1]
-    failed = set()
+    undecided = set()
     for cl in clusters:
         if max(lam.real for lam in cl.members) < -TAU_AXIS:
             continue
-        coupling = (np.linalg.svd(cl.left.conj().T @ B, compute_uv=False)[-1]
-                    if cl.mult <= m else 0.0)
-        if coupling <= RANK_TOL * np.hypot(cl.norm, norm_B):
-            failed.update(cl.members)
-            failed.update(np.conj(cl.members))
-    return tuple(complex(lam) for lam in evals
-                 if lam.real >= -TAU_AXIS and lam in failed)
+        h = (np.linalg.svd(cl.left.conj().T @ B, compute_uv=False)[-1]
+             if cl.mult <= m else 0.0)
+        if h == 0 or cl.gap == np.inf:
+            bound = h
+        else:
+            bound = cl.gap * h / np.linalg.norm([cl.gap, h, norm_B])
+        delta = max(abs(lam - cl.value) for lam in cl.members)
+        if bound - delta <= 2.0 * RANK_TOL * (np.hypot(cl.norm, norm_B) + delta):
+            undecided.update(cl.members)
+            undecided.update(np.conj(cl.members))
+    return _rank_failures(A, B, [lam for lam in evals if lam in undecided])
 
 
 def cyclic_index(A) -> int:
@@ -327,7 +338,7 @@ def cyclic_decompose(plant: Plant, seed: int = 0) -> CyclicDecomposition:
     evals = np.linalg.eigvals(A)
     clusters = _analyze_clusters(A, evals)
     P, model = _check_diagonalizable(A, clusters)
-    failures = _pbh_failures(clusters, B, evals)
+    failures = _pbh_failures(A, B, clusters, evals)
     if failures:
         raise Unstabilizable(f"plant fails the PBH test at eigenvalues {failures}")
     k = max(cl.mult for cl in clusters)

@@ -14,7 +14,9 @@ the complex vectors ``eigenvalues``, ``pbh_failures`` and
 ``closed_loop_spectrum`` travel as lists of ``[re, im]`` pairs, even when
 every value is real, and ``blocks`` travels as a list of ``{"A", "b"}``
 objects. Keys are sorted and the separators carry no spaces, so equal
-reports give equal bytes.
+reports give equal bytes. A ``codesign-result``'s ``epsilon_trail`` may open
+with "power_violation" entries that the codec search predicted rather than
+verified (see ``CoDesignResult``).
 
 A trajectory's ``states`` stack is written from its upper triangle: when
 the stack equals its transpose bit for bit, one encoder call formats the

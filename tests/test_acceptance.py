@@ -79,7 +79,7 @@ def test_criterion_01_awgn_reproduction(bench_plant, bench_awgn):
 
 def test_criterion_02_closed_loop_spectrum(bench_plant, bench_awgn):
     with _Criterion(2, "closed-loop spectrum mirrors the open-loop poles"):
-        F = synthesize_gain(cyclic_decompose(bench_plant))
+        F, _ = synthesize_gain(cyclic_decompose(bench_plant))
         spectrum = np.sort(np.linalg.eigvals(bench_plant.A + bench_plant.B @ F).real)
         assert_allclose(spectrum, [-4.0, -2.0, -1.0, -1.0], atol=1e-6)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import re
 
@@ -16,6 +17,7 @@ from netstab.analysis import (
     _ms_triangle,
     _sample_grid,
     analyze,
+    channel_power_coefficients,
     channel_powers_awgn,
     closed_loop,
     covariance_rhs,
@@ -28,7 +30,7 @@ from netstab.analysis import (
     simulate_fading_covariance,
 )
 from netstab.cli import main
-from netstab.codesign import CoDesign, codesign, synthesize_codec
+from netstab.codesign import CoDesign, codesign, synthesize_codec, synthesize_gain
 from netstab.errors import InvalidInput, NetstabError, NotHurwitz
 from netstab.numerics import (
     integrate_linear_matrix_ode,
@@ -137,6 +139,27 @@ class TestChannelPowers:
         powers = channel_powers_awgn(ss, bench_awgn.noise_density)
         assert np.all(powers < bench_awgn.power)
         assert_allclose(powers, res.report.channel_powers, rtol=1e-12)
+
+    def test_laurent_coefficients_give_the_powers(self, bench_plant, bench_awgn):
+        # the demo's loop in decomposition coordinates, at scalings from the
+        # one its search starts with to 1000 times below the accepted one
+        res = codesign(bench_plant, bench_awgn)
+        d, m = res.decomposition, res.design.m_active
+        _, F_bar = synthesize_gain(d)
+        B_bar = d.staircase(bench_plant.B)
+        c, scale = channel_power_coefficients(
+            d.block_diagonal() + B_bar @ F_bar, B_bar[:, :m], F_bar[:m],
+            np.sqrt(bench_awgn.noise_density)[:, None] * res.design.U)
+        assert m == 2 and np.all(np.abs(c) <= scale)
+        Q_inv = np.linalg.inv(d.Q)
+        for eps in (1.0, 0.3, res.design.epsilon, 1e-3 * res.design.epsilon):
+            T, R = synthesize_codec(bench_awgn, res.design.U, eps, m)
+            design = dataclasses.replace(res.design, T=T @ Q_inv[:m], R=d.Q[:, :m] @ R,
+                                         epsilon=eps)
+            powers = channel_powers_awgn(closed_loop(bench_plant, design),
+                                         bench_awgn.noise_density)
+            laurent = eps ** np.arange(2 - 2 * m, 2 * m - 1)
+            assert np.all(np.abs(laurent @ c - powers) <= 1e-12 * (laurent @ scale))
 
     def test_zero_noise_zero_power(self, bench_plant, bench_awgn):
         res = codesign(bench_plant, bench_awgn)
@@ -311,12 +334,12 @@ class TestSampleGrid:
         self.check(1.0, 2.0)
 
     def test_step_count_is_capped_before_allocating(self):
-        assert MAX_GRID_STEPS == 1_000_000
+        assert MAX_GRID_STEPS == 100_000_000
         self.check(1.0, 2e-6)
         for dt, count in ((1e-8, "1e+09"), (1e-300, "1e+301"), (5e-324, "inf")):
             with pytest.raises(InvalidInput, match=(
                     rf"^t_end 10.0 and dt {dt!r} need {re.escape(count)} time steps, "
-                    "more than the 1000000 a sample grid may hold$")):
+                    "more than the 100000000 a sample grid may hold$")):
                 _sample_grid(10.0, dt)
 
 

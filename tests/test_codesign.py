@@ -17,6 +17,7 @@ from conftest import (
 from netstab import analysis
 from netstab.analysis import analyze, channel_powers_awgn, closed_loop
 from netstab.codesign import (
+    _PREDICTION_RTOL,
     CoDesign,
     CoDesignResult,
     check_corollaries,
@@ -39,17 +40,17 @@ from netstab.plantmodel import ChannelEnsemble, Plant
 
 class TestSynthesizeGain:
     def test_benchmark_gain(self, bench_plant):
-        F = synthesize_gain(cyclic_decompose(bench_plant))
+        F, _ = synthesize_gain(cyclic_decompose(bench_plant))
         assert_allclose(F, F_BENCH, atol=1e-6)
 
     def test_scalar_unstable_block(self):
         p = Plant(A=np.array([[1.0]]), B=np.array([[1.0]]))
-        F = synthesize_gain(cyclic_decompose(p))
+        F, _ = synthesize_gain(cyclic_decompose(p))
         assert_allclose(F, [[-2.0]], atol=1e-9)
 
     def test_stable_block_gets_zero_row(self):
         p = Plant(A=np.array([[-1.0]]), B=np.array([[1.0]]))
-        F = synthesize_gain(cyclic_decompose(p))
+        F, _ = synthesize_gain(cyclic_decompose(p))
         assert_allclose(F, [[0.0]], atol=1e-12)
 
     def test_gain_stabilizes_randomized(self):
@@ -61,7 +62,7 @@ class TestSynthesizeGain:
             A, k = random_diagonalizable(rng, n)
             B = rng.normal(size=(n, k + int(rng.integers(0, 2))))
             d = cyclic_decompose(Plant(A=A, B=B), seed=trial)
-            F = synthesize_gain(d)
+            F, _ = synthesize_gain(d)
             assert np.max(np.linalg.eigvals(A + B @ F).real) < 0
 
     @staticmethod
@@ -78,7 +79,7 @@ class TestSynthesizeGain:
         for seed in range(10):
             A, b = ladder_block(seed, n)
             try:
-                F = synthesize_gain(self._single_block(A, b))
+                F, _ = synthesize_gain(self._single_block(A, b))
             except IllConditioned as exc:
                 assert n >= 20
                 assert exc.block == 0
@@ -188,9 +189,7 @@ class TestCoDesignPipeline:
 
         # the package exports the function codesign under the module's name
         module = importlib.import_module("netstab.codesign")
-        zero = np.zeros((2, 4))
-        monkeypatch.setattr(module, "synthesize_gain",
-                            lambda d, block=False: (zero, zero) if block else zero)
+        monkeypatch.setattr(module, "synthesize_gain", lambda d: (np.zeros((2, 4)),) * 2)
         monkeypatch.setattr(analysis, "analyze", counting_analyze)
         with pytest.raises(EpsilonExhausted, match=r"spectral abscissa 4\b"):
             codesign(bench_plant, bench_awgn)
@@ -230,13 +229,13 @@ class TestCoDesignPipeline:
 
 
 def _searched(plant, ch, monkeypatch):
-    """``(started, predicted, from_one)``: ``codesign``'s outcome with its
-    predicted start, the per-scaling predictions it started from, and its
-    outcome when every scaling from one is verified by ``analyze``. An
-    outcome is the result, or the type and message of the error raised."""
+    """``(started, predicted, coefficients, from_one)``: ``codesign``'s
+    outcome with its predicted start, the per-scaling predictions it started
+    from and the expansion's ``(c, scale)`` they came from, and its outcome
+    when every scaling from one is verified by ``analyze``. An outcome is
+    the result, or the type and message of the error raised."""
     module = importlib.import_module("netstab.codesign")
-    original = module._predicted_passes
-    predicted = []
+    predicted, coefficients = [], []
 
     def outcome():
         try:
@@ -244,24 +243,33 @@ def _searched(plant, ch, monkeypatch):
         except NetstabError as exc:
             return type(exc), str(exc)
 
-    def recorded(*args):
-        predicted.append(original(*args))
-        return predicted[-1]
+    def recorded(record, func):
+        def wrapper(*args):
+            record.append(func(*args))
+            return record[-1]
+        return wrapper
 
     with monkeypatch.context() as mp:
-        mp.setattr(module, "_predicted_passes", recorded)
+        mp.setattr(module, "_predicted_passes",
+                   recorded(predicted, module._predicted_passes))
+        mp.setattr(analysis, "channel_power_coefficients",
+                   recorded(coefficients, analysis.channel_power_coefficients))
         started = outcome()
     with monkeypatch.context() as mp:
         mp.setattr(module, "_predicted_passes", lambda *args: None)
         from_one = outcome()
-    return started, predicted[0] if predicted else None, from_one
+    return (started, predicted[0] if predicted else None,
+            coefficients[0] if coefficients else None, from_one)
 
 
 def assert_prediction_matches_analyze(plant, ch, monkeypatch):
     """The predicted start changes nothing: ``codesign`` ends as the search
-    from one does, and the expansion's verdict equals ``analyze``'s at every
-    scaling up to the accepted one. Returns the accepted trail."""
-    started, predicted, from_one = _searched(plant, ch, monkeypatch)
+    from one does. At every scaling up to the accepted one the expansion's
+    verdict equals ``analyze``'s wherever the expansion is decisive, its
+    shortfall from the 1e-9 margin beyond the rounding allowance either
+    way: every scaling it skips fails, and none before the accepted one is
+    predicted to pass. Returns the accepted trail."""
+    started, predicted, coefficients, from_one = _searched(plant, ch, monkeypatch)
     if not isinstance(from_one, CoDesignResult):
         assert started == from_one
         return ()
@@ -269,10 +277,19 @@ def assert_prediction_matches_analyze(plant, ch, monkeypatch):
     assert started.epsilon_trail == trail
     assert started.design.epsilon == from_one.design.epsilon
     assert np.array_equal(started.report.margins, from_one.report.margins)
-    if started.design.m_active >= 2:
+    m = started.design.m_active
+    if m >= 2:
         assert predicted is not None
-        assert list(predicted[: len(trail)]) == [
-            verdict == "stabilized" for _, verdict in trail]
+        c, scale = coefficients
+        powers = np.array([eps for eps, _ in trail])[:, None] ** np.arange(2 - 2 * m, 2 * m - 1)
+        shortfall = 1e-9 * ch.power - (ch.power - powers @ c)
+        allowance = _PREDICTION_RTOL * (powers @ scale)
+        assert list(predicted[: len(trail)]) == list(~np.any(shortfall > allowance, axis=1))
+        assert predicted[len(trail) - 1]
+        for passes, fails, (_, verdict) in zip(np.all(shortfall < -allowance, axis=1),
+                                               ~predicted[: len(trail)], trail):
+            if passes or fails:
+                assert verdict == ("stabilized" if passes else "power_violation")
     return trail
 
 
@@ -327,16 +344,24 @@ class TestPredictedStart:
         with pytest.MonkeyPatch.context() as mp:
             assert_prediction_matches_analyze(*problem, mp)
 
-    def test_schur_forms_do_not_grow_with_the_trail(self, factorizations):
+    def test_schur_forms_do_not_grow_with_the_trail(self, factorizations, monkeypatch):
         plant, ch = max(_ladder(1, 24), key=lambda p: len(codesign(*p).epsilon_trail))
+        analyzed = []
+        original = analysis.analyze
+        monkeypatch.setattr(analysis, "analyze",
+                            lambda *args: analyzed.append(args) or original(*args))
         factorizations.clear()
         res = codesign(plant, ch)
-        searched = factorizations["schur"]
+        searched, steps = factorizations["schur"], len(analyzed)
         factorizations.clear()
         codesign(plant, ch, epsilon=res.design.epsilon)
-        # the expansion's one stacked Lyapunov solve, then one analyze
-        assert len(res.epsilon_trail) >= 5
-        assert searched == factorizations["schur"] + 1
+        pinned = factorizations["schur"]
+        factorizations.clear()
+        original(*analyzed[-1])
+        # the expansion's one stacked Lyapunov solve, then analyze from the
+        # predicted start, at most one scaling before the accepted one
+        assert len(res.epsilon_trail) >= 5 and steps <= 2
+        assert searched == pinned + 1 + (steps - 1) * factorizations["schur"]
 
     @pytest.mark.parametrize("start", [None, 5])
     def test_unstable_loop_keeps_its_message(self, start, bench_plant, bench_awgn,
@@ -345,9 +370,7 @@ class TestPredictedStart:
         # start predicted past one meets the unstable loop (5); either way
         # the trail is that of the search from one, which stops at once
         module = importlib.import_module("netstab.codesign")
-        zero = np.zeros((2, 4))
-        monkeypatch.setattr(module, "synthesize_gain",
-                            lambda d, block=False: (zero, zero) if block else zero)
+        monkeypatch.setattr(module, "synthesize_gain", lambda d: (np.zeros((2, 4)),) * 2)
         if start is not None:
             monkeypatch.setattr(module, "_predicted_passes",
                                 lambda *args: np.arange(60) >= start)

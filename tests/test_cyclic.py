@@ -6,6 +6,7 @@ from numpy.testing import assert_allclose
 from scipy import linalg
 
 from conftest import benchmark_instances
+from netstab import cyclic
 from netstab.codesign import codesign
 from netstab.cyclic import (
     CyclicDecomposition,
@@ -237,36 +238,57 @@ def _cut(A, B, lam):
 
 
 def assert_pbh_verdicts_agree(A, B):
-    """The cluster Hautus test names the eigenvalues the pencil test names,
-    and ``cyclic_decompose`` raises Unstabilizable with them, if any."""
+    """The decomposition's PBH test names the eigenvalues the pencil test
+    names on the whole spectrum, and ``cyclic_decompose`` raises
+    Unstabilizable with them, if any. Returns those eigenvalues and the ones
+    the decomposition's test left to the pencil test; None when A has no
+    well-conditioned eigenbasis, and ``cyclic_decompose`` says so."""
     evals = np.linalg.eigvals(A)
     clusters = _analyze_clusters(A, evals)
-    _check_diagonalizable(A, clusters)
+    try:
+        _check_diagonalizable(A, clusters)
+    except NotDiagonalizable:
+        with pytest.raises(NotDiagonalizable):
+            cyclic_decompose(Plant(A=A, B=B))
+        return None
+    pencil = []
+
+    def recorded(A, B, eigenvalues):
+        pencil.extend(eigenvalues)
+        return _rank_failures(A, B, eigenvalues)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cyclic, "_rank_failures", recorded)
+        tested = _pbh_failures(A, B, clusters, evals)
     failures = _rank_failures(A, B, evals)
-    assert _pbh_failures(clusters, B, evals) == failures
+    assert tested == failures
     if failures:
         with pytest.raises(Unstabilizable) as exc:
             cyclic_decompose(Plant(A=A, B=B))
         assert str(exc.value) == f"plant fails the PBH test at eigenvalues {failures}"
-    return failures
+    return failures, pencil
 
 
 class TestClusterPbh:
-    """The decomposition's PBH test, read off the cluster SVDs in Hautus
-    form, agrees with the pencil test of ``numerics._rank_failures``."""
+    """The decomposition's PBH test, passed from the cluster SVDs where they
+    prove it and left to the pencil test of ``numerics._rank_failures``
+    elsewhere, agrees with the pencil test on the whole spectrum."""
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_benchmark_plants(self, seed):
         for inst in benchmark_instances(seed):
-            assert assert_pbh_verdicts_agree(inst.A, inst.B) == ()
+            # the cluster SVDs decide every benchmark plant
+            assert assert_pbh_verdicts_agree(inst.A, inst.B) == ((), [])
             evals = np.linalg.eigvals(inst.A)
             unstable = evals[evals.real > 0]
             if unstable.size:
                 lam = unstable[np.argmax(unstable.imag)]
-                assert lam in assert_pbh_verdicts_agree(inst.A, _cut(inst.A, inst.B, lam))
+                failures, pencil = assert_pbh_verdicts_agree(
+                    inst.A, _cut(inst.A, inst.B, lam))
+                assert lam in failures and lam in pencil
 
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.floats(0.0, 5.0),
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 7), st.floats(0.0, 8.0),
            st.booleans())
     def test_ill_conditioned_eigenbases(self, seed, n, log_cond, cut):
         # S = X diag(geomspace(1, 10^-log_cond)) Y' with X, Y orthogonal
@@ -287,7 +309,7 @@ class TestClusterPbh:
         assert_pbh_verdicts_agree(A, B)
 
     def test_defective_and_unstabilizable_is_not_diagonalizable(self):
-        # the Hautus test needs the eigenbasis, so the basis check comes first
+        # the PBH test reads the cluster SVDs, so the basis check comes first
         p = Plant(A=np.array([[1.0, 1.0], [0.0, 1.0]]), B=np.array([[1.0], [0.0]]))
         assert _rank_failures(p.A, p.B, np.linalg.eigvals(p.A))
         with pytest.raises(NotDiagonalizable):

@@ -11,7 +11,7 @@ from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from conftest import ladder_block
-from netstab import ChannelEnsemble, Plant, cli
+from netstab import ChannelEnsemble, Plant, analysis, cli
 from netstab.analysis import analyze, ms_operator_abscissa, simulate_fading_covariance
 from netstab.cli import main
 from netstab.codesign import codesign
@@ -337,6 +337,17 @@ class TestCli:
         seeded.write_text(open(AWGN_FILE).read() + "options:\n  seed: -3\n")
         assert self.run(*[str(seeded) if a == "seed_in_file" else a for a in argv]) == 2
         assert capsys.readouterr().err.startswith("netstab: InvalidInput:")
+
+    def test_grid_just_under_the_cap_is_simulated(self, monkeypatch, capsys):
+        # 5e6 steps on the default horizon of 10, then a grid of exactly
+        # MAX_GRID_STEPS steps and one of a step more under a smaller cap
+        assert self.run("simulate", FADING_FILE, "--dt", "2e-6") == 0
+        monkeypatch.setattr(analysis, "MAX_GRID_STEPS", 40_000)
+        assert self.run("simulate", FADING_FILE, "--dt", "2.5e-4") == 0
+        capsys.readouterr()
+        assert self.run("simulate", FADING_FILE, "--dt", "2.49999e-4") == 2
+        assert capsys.readouterr().err.startswith(
+            "netstab: InvalidInput: t_end 10.0 and dt 0.000249999 need 40001 time steps")
 
     @pytest.mark.parametrize("command", ["decompose", "check", "codesign", "analyze"])
     def test_pbh_failure_names_the_eigenvalue(self, command, tmp_path, capsys):

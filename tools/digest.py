@@ -2,7 +2,7 @@
 
 Run from anywhere:
 
-    python3 tools/digest.py --seed 1 [--src DIR] [--per-run]
+    python3 tools/digest.py --seed 1 [--src DIR]
 
 ``DIR`` is the ``src`` directory that ``netstab`` is imported from (default:
 this checkout's), so one copy of the tool hashes two versions of the
@@ -15,9 +15,10 @@ also ``simulate`` in the machine and the table format, and on the fading
 demo ``simulate --t-end 304``. Each run is one in-process call of
 ``netstab.cli.main``; the digest covers the file name, the command line,
 the exit code (or the uncaught exception), the document and standard error
-of every run. With ``--per-run`` it also prints each run's own sha256 with
-its file name and command line, one run a line before the total, so two
-listings name the runs that differ. Nothing is written inside the checkout.
+of every run. The tool prints each run's own sha256 with its file name and
+command line, one run a line, and then the total as its last line, ``runs
+N sha256 ...``: two versions compare by that line, and a diff of two
+listings names the runs that differ. Nothing is written inside the checkout.
 """
 
 import os
@@ -99,8 +100,6 @@ def main():
                         help="seed of the benchmark's problem generators")
     parser.add_argument("--src", type=Path, default=ROOT / "src",
                         help="directory netstab is imported from (default: %(default)s)")
-    parser.add_argument("--per-run", action="store_true",
-                        help="also print one sha256 per (file, argv)")
     args = parser.parse_args()
     cli = import_cli(args.src.resolve())
     digest = hashlib.sha256()
@@ -113,8 +112,7 @@ def main():
             record = json.dumps([name, argv, *run(cli, argv)]).encode("utf-8") + b"\n"
             digest.update(record)
             count += 1
-            if args.per_run:
-                print(hashlib.sha256(record).hexdigest(), name, " ".join(argv))
+            print(hashlib.sha256(record).hexdigest(), name, " ".join(argv))
         os.chdir(ROOT)
     print(f"runs {count} sha256 {digest.hexdigest()}")
 
