@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 from scipy import linalg
 
-from .errors import InvalidInput, NetstabError
+from .errors import InvalidInput, NetstabError, Overflow
 from .numerics import (
     _OVERFLOW_LIMIT,
     MatrixTrajectory,
@@ -85,10 +85,16 @@ def h2_gramian_entrywise(ss: StateSpace) -> np.ndarray:
 
     Entry (i, j) is the squared H2 norm of the transfer from input j to
     output i, read off the controllability Gramian of input column j; one
-    stacked Lyapunov solve gives the Gramians of all columns.
+    stacked Lyapunov solve gives the Gramians of all columns. Entries too
+    large for floating point raise ``Overflow`` with their count.
     """
     L = solve_lyapunov(ss.Acl, np.einsum("nj,mj->jnm", ss.Bcl, ss.Bcl))
     K = np.array([np.einsum("in,nm,im->i", ss.Ccl, Lj, ss.Ccl) for Lj in L]).T
+    bad = np.count_nonzero(~np.isfinite(K))
+    if bad:
+        raise Overflow(
+            f"mean-square norm: {bad} of {K.size} entrywise H2 norms are not finite"
+        )
     return np.maximum(K, 0.0)
 
 
@@ -110,7 +116,8 @@ def channel_powers_awgn(ss: StateSpace, noise_density) -> np.ndarray:
 
 
 def channel_power_coefficients(Acl, B, F, W):
-    """Laurent coefficients of the AWGN channel powers in the codec scaling.
+    """Coefficients of the AWGN channel powers, a polynomial in the codec
+    scaling.
 
     The loop ``Acl`` is driven through the columns b_j of ``B`` scaled by
     eps^j and read through the rows f_a of ``F`` scaled by eps^-a, mixed by
@@ -119,29 +126,26 @@ def channel_power_coefficients(Acl, B, F, W):
     ``D = diag(eps^j)``, since then ``R N R' = D^2``: the Gramian is
     sum_j eps^2j L_j, L_j that of b_j, and
 
-        power_i(eps) = sum_k c[k, i] eps^(k - 2(m-1)),
-        c[k, i] = sum over 2j - a - b = k - 2(m-1) of W_ia W_ib f_a' L_j f_b.
+        power_i(eps) = sum_k c[k, i] eps^k,  k = 0 .. 2(m-1),
+        c[k, i] = sum over a, b <= j, 2j - a - b = k of W_ia W_ib f_a' L_j f_b.
 
-    Returns ``c`` and ``scale``, the same sums over the bounds
-    |W_ia W_ib| |f_a| |f_b| tr(L_j) of the terms' magnitudes: the rounding
-    error of ``c``, a coefficient that is zero by structure included, is a
-    small multiple of ``scale``. One stacked Lyapunov solve gives every
-    L_j; its errors (``NotHurwitz`` for a loop that is not Hurwitz) pass
-    through.
+    The loop is taken in decomposition coordinates: ``Acl`` and ``B`` block
+    upper triangular, ``F`` block diagonal. L_j then lives on the blocks up
+    to j, so every term with a or b above j, which are the terms with a
+    negative power of eps, is zero by structure and is not summed. c[0] is
+    the powers' limit as eps -> 0, the paper's 2 N gamma. One stacked
+    Lyapunov solve gives every L_j; its errors (``NotHurwitz`` for a loop
+    that is not Hurwitz) pass through.
     """
     m = B.shape[1]
     L = solve_lyapunov(Acl, np.einsum("nj,mj->jnm", B, B))
     G = np.einsum("an,jnk,bk->jab", F, L, F)
-    f = np.linalg.norm(F, axis=1)
-    G_max = np.trace(L, axis1=1, axis2=2)[:, None, None] * np.outer(f, f)
-    j, a, b = np.indices(G.shape)
-    k = (2 * j - a - b + 2 * m - 2).ravel()
+    j, a, b = np.indices(G.shape).reshape(3, -1)
+    j, a, b = np.compress((a <= j) & (b <= j), [j, a, b], axis=1)
     Wt = np.asarray(W, dtype=float).T
-    c = np.zeros((4 * m - 3, Wt.shape[1]))
-    scale = np.zeros_like(c)
-    np.add.at(c, k, (G[..., None] * Wt[a] * Wt[b]).reshape(-1, Wt.shape[1]))
-    np.add.at(scale, k, (G_max[..., None] * np.abs(Wt[a] * Wt[b])).reshape(-1, Wt.shape[1]))
-    return c, scale
+    c = np.zeros((2 * m - 1, Wt.shape[1]))
+    np.add.at(c, 2 * j - a - b, G[j, a, b][:, None] * Wt[a] * Wt[b])
+    return c
 
 
 def ms_norm(ss: StateSpace, phi) -> float:

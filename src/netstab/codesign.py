@@ -5,14 +5,16 @@ block entropies in the strict weak order, then builds: per-block minimum-
 energy stabilizing gains (zero-state-weight Riccati solutions), an
 intermediate demand vector strictly below the capacities, an isometry
 realizing those demands, and a geometrically scaled encoder/decoder pair.
+The codec is checked in its factors: the isometry's columns are
+orthonormal, so the identity R T = D U'U D^-1 = I holds by construction.
 The scaling is halved until the closed loop verifies. For AWGN designs
-with two or more active inputs the channel powers are a Laurent polynomial
-in the scaling, whose coefficients one Lyapunov solve on the loop in
+with two or more active inputs the channel powers are a polynomial in the
+scaling, whose coefficients one Lyapunov solve on the loop in
 decomposition coordinates gives; the verified search starts at the first
-scaling that polynomial does not predict to fail beyond its rounding, and
-``analyze`` decides from there. The search starts from one with a single
-active input, on fading channels, when A + BF is not Hurwitz and when
-every scaling is predicted to fail.
+scaling that polynomial predicts to pass, and ``analyze`` decides from
+there. The search starts from one with a single active input, on fading
+channels, when A + BF is not Hurwitz and when every scaling is predicted
+to fail.
 """
 
 from __future__ import annotations
@@ -60,6 +62,11 @@ class CoDesign:
     When the plant has more inputs than subchannels, only the leading
     ``m_active`` transformed inputs carry signal; ``note`` documents this
     and the codec identity holds on the active subspace.
+
+    Construction, a parsed document's included, checks the codec in its
+    factors: ``U`` has ``m_active`` orthonormal columns (see
+    :func:`synthesize_codec`). The dense ``T`` and ``R`` are checked for
+    shape only.
     """
 
     kind: str
@@ -89,21 +96,7 @@ class CoDesign:
             object.__setattr__(self, "mean", np.asarray(self.mean, dtype=float))
         m_active = m if self.m_active is None else int(self.m_active)
         object.__setattr__(self, "m_active", m_active)
-        middle = R @ T if self.kind == AWGN else R @ np.diag(self.mean) @ T
-        # the identity holds exactly up to the isometry's orthonormality, but
-        # evaluating it in floating point amplifies rounding by the factor
-        # gap inside the scaling, hence the product-norm scale
-        scale = max(1.0, float(np.linalg.norm(R) * np.linalg.norm(T)))
-        if m_active == m:
-            err = float(np.max(np.abs(middle - np.eye(m))))
-            if err > 1e-10 * scale:
-                raise CodecInvalid(f"codec identity residual {err:.3e}")
-        else:
-            err = float(np.max(np.abs(middle @ F - F)))
-            if err > 1e-9 * scale * max(1.0, float(np.max(np.abs(F)))):
-                raise CodecInvalid(
-                    f"codec does not reproduce the active inputs ({err:.3e})"
-                )
+        _check_isometry(self.U, m_active)
 
     @property
     def l(self) -> int:
@@ -154,6 +147,17 @@ def synthesize_gain(d: CyclicDecomposition):
     return d.Q @ F_bar @ np.linalg.inv(d.P), F_bar
 
 
+def _check_isometry(U, m: int):
+    """Raise unless ``U`` has ``m`` columns that are orthonormal within
+    1e-10, the bound :func:`schur_horn_isometry` asserts: ``InvalidInput``
+    for the shape, ``CodecInvalid`` for the residual."""
+    if U.ndim != 2 or U.shape[1] != m:
+        raise InvalidInput(f"isometry must have {m} columns, got shape {U.shape}")
+    err = float(np.max(np.abs(U.T @ U - np.eye(m))))
+    if not err <= 1e-10:  # fails on nan too
+        raise CodecInvalid(f"codec isometry: max |U'U - I| = {err:.3e} exceeds 1e-10")
+
+
 def synthesize_codec(ch: ChannelEnsemble, U, epsilon: float, m: int):
     """Encoder/decoder pair around the subchannels for a given isometry.
 
@@ -161,12 +165,15 @@ def synthesize_codec(ch: ChannelEnsemble, U, epsilon: float, m: int):
     densities as ``T = N^(1/2) U D^-1``, ``R = D U' N^(-1/2)``; fading couples
     through the channel means as ``T = |M|^(-1/2) U D^-1``,
     ``R = D U' |M|^(-1/2) sign(M)`` (signs of negative means fold into the
-    decoder). The defining identity (RT = I, or R M T = I for fading) is
-    verified before returning.
+    decoder). Either way the defining identity, R T = I or R M T = I, reads
+    D U'U D^-1 = I, so it is verified in that form: ``U`` must have
+    orthonormal columns (``CodecInvalid`` otherwise). The dense product
+    would amplify the residual of U'U above the diagonal by up to
+    eps^-(m-1) and leave it unamplified on the diagonal, so it is not
+    formed.
     """
     U = np.asarray(U, dtype=float)
-    if U.ndim != 2 or U.shape[1] != m:
-        raise InvalidInput(f"isometry must have {m} columns, got shape {U.shape}")
+    _check_isometry(U, m)
     if not 0.0 < epsilon <= 1.0:
         raise InvalidInput("epsilon must lie in (0, 1]")
     if U.shape[0] != ch.count:
@@ -175,19 +182,10 @@ def synthesize_codec(ch: ChannelEnsemble, U, epsilon: float, m: int):
     D_inv = np.diag(epsilon ** -np.arange(m).astype(float))
     if ch.kind == AWGN:
         root = np.sqrt(ch.noise_density)
-        T = (root[:, None] * U) @ D_inv
-        R = D @ (U.T / root[None, :])
-        identity = R @ T
-    else:
-        root = np.sqrt(np.abs(ch.mean))
-        signs = np.sign(ch.mean)
-        T = (U / root[:, None]) @ D_inv
-        R = D @ (U.T * (signs / root)[None, :])
-        identity = R @ np.diag(ch.mean) @ T
-    err = float(np.max(np.abs(identity - np.eye(m))))
-    if err > 1e-10 * max(1.0, float(np.linalg.norm(R) * np.linalg.norm(T))):
-        raise CodecInvalid(f"codec identity residual {err:.3e}")
-    return T, R
+        return (root[:, None] * U) @ D_inv, D @ (U.T / root[None, :])
+    root = np.sqrt(np.abs(ch.mean))
+    signs = np.sign(ch.mean)
+    return (U / root[:, None]) @ D_inv, D @ (U.T * (signs / root)[None, :])
 
 
 @dataclass(frozen=True)
@@ -199,9 +197,10 @@ class CoDesignResult:
     and ``epsilon_trail`` lists the scalings that were tried with their
     verdicts (the accepted one last). For AWGN designs with two or more
     active inputs the "power_violation" entries before the first scaling
-    ``analyze`` ran at are predicted by the Laurent expansion of the channel
-    powers, not verified (see :func:`codesign`). On infeasible instances only ``order`` and ``decomposition``
-    are populated; the violated prefix margins live in ``order.slack``.
+    ``analyze`` ran at are predicted by the polynomial expansion of the
+    channel powers, not verified (see :func:`codesign`). On infeasible
+    instances only ``order`` and ``decomposition`` are populated; the
+    violated prefix margins live in ``order.slack``.
     """
 
     feasible: bool
@@ -221,28 +220,22 @@ def _feasibility(plant: Plant, ch: ChannelEnsemble, seed: int = 0):
     return d, check_order(*pad_to_match(capacities(ch), d.h), STRICT_WEAK_ABOVE)
 
 
-#: Relative rounding allowance of the predicted channel powers, per unit of
-#: the magnitude bound of their terms.
-_PREDICTION_RTOL = 1e-8
-
-
 def _predicted_passes(d, B, F_bar, U, ch, m_active):
-    """Per ``EPSILON_SCHEDULE`` scaling, False where some AWGN power margin
-    is predicted to fall short of 1e-9 of its power by more than the
-    prediction's rounding allowance; None when the prediction cannot be made
-    (A + BF not Hurwitz).
+    """Per ``EPSILON_SCHEDULE`` scaling, whether every AWGN power margin is
+    predicted to reach 1e-9 of its power, the test :func:`analysis.analyze`
+    applies; None when the prediction cannot be made (A + BF not Hurwitz).
 
-    The prediction evaluates the Laurent expansion of
+    The prediction evaluates the polynomial of
     :func:`analysis.channel_power_coefficients` on the loop in decomposition
     coordinates, ``A_bar + B_bar F_bar`` with ``B_bar = P^-1 B Q``, at every
-    scaling at once. The allowance is ``_PREDICTION_RTOL`` times the
-    expansion's magnitude bound at that scaling, so the rounding residue of
-    a coefficient that is zero by structure, multiplied by up to
-    eps^-(2m-2), cannot make a scaling look failed.
+    scaling at once. Its terms are those the block structure allows, so
+    none is amplified by a negative power of the scaling; the structure is
+    the staircase of B_bar that :func:`cyclic.verify_decomposition` checks
+    on every decomposition.
     """
     B_bar = d.staircase(B)
     try:
-        c, scale = analysis.channel_power_coefficients(
+        c = analysis.channel_power_coefficients(
             d.block_diagonal() + B_bar @ F_bar,
             B_bar[:, :m_active],
             F_bar[:m_active],
@@ -250,11 +243,8 @@ def _predicted_passes(d, B, F_bar, U, ch, m_active):
         )
     except NetstabError:
         return None
-    eps = np.array(EPSILON_SCHEDULE)[:, None]
-    with np.errstate(over="ignore", invalid="ignore"):
-        powers = eps ** np.arange(2 - 2 * m_active, 2 * m_active - 1)
-        shortfall = 1e-9 * ch.power - (ch.power - powers @ c)
-        return ~np.any(shortfall > _PREDICTION_RTOL * (powers @ scale), axis=1)
+    powers = np.array(EPSILON_SCHEDULE)[:, None] ** np.arange(2 * m_active - 1)
+    return np.all(ch.power - powers @ c >= 1e-9 * ch.power, axis=1)
 
 
 def codesign(
@@ -274,14 +264,15 @@ def codesign(
     the scaling.
 
     For AWGN channels with two or more active inputs the search starts at
-    the first scaling of ``EPSILON_SCHEDULE`` that the Laurent expansion of
-    the channel powers (:func:`_predicted_passes`) does not predict to miss
-    a margin of 1e-9 of its power by more than its rounding allowance. Each
-    scaling it skips enters ``epsilon_trail`` as a predicted, not verified,
-    "power_violation", and ``analyze`` at the start gives the verdict of
-    record; where it disagrees, the halving goes on from there. The search starts from one with a single active input (the
-    scaling then has no effect), on fading channels, when A + BF is not
-    Hurwitz, and when no scaling is predicted to pass.
+    the first scaling of ``EPSILON_SCHEDULE`` at which the polynomial
+    expansion of the channel powers (:func:`_predicted_passes`) predicts
+    every margin to reach 1e-9 of its power. Each scaling it skips enters
+    ``epsilon_trail`` as a predicted, not verified, "power_violation", and
+    ``analyze`` at the start gives the verdict of record; where it
+    disagrees, the halving goes on from there. The search starts from one
+    with a single active input (the scaling then has no effect), on fading
+    channels, when A + BF is not Hurwitz, and when no scaling is predicted
+    to pass.
     """
     d, order = _feasibility(plant, ch, seed)
     if not order.holds:

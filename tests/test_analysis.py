@@ -8,7 +8,7 @@ import pytest
 from numpy.testing import assert_allclose
 from scipy import linalg
 
-from conftest import U_BENCH_FADING, nearest_isometry
+from conftest import U_BENCH_FADING, benchmark_instances, nearest_isometry
 from netstab.analysis import (
     MAX_GRID_STEPS,
     StateSpace,
@@ -31,7 +31,7 @@ from netstab.analysis import (
 )
 from netstab.cli import main
 from netstab.codesign import CoDesign, codesign, synthesize_codec, synthesize_gain
-from netstab.errors import InvalidInput, NetstabError, NotHurwitz
+from netstab.errors import InvalidInput, NetstabError, NotHurwitz, Overflow
 from netstab.numerics import (
     integrate_linear_matrix_ode,
     solve_care_stabilizing,
@@ -132,6 +132,17 @@ class TestEntrywiseGramians:
         assert factorizations == {"schur": 1}
 
 
+def power_coefficients(plant, ch, res):
+    """:func:`channel_power_coefficients` of the AWGN design ``res`` found
+    for ``plant`` and ``ch``, on its loop in decomposition coordinates."""
+    d, m = res.decomposition, res.design.m_active
+    _, F_bar = synthesize_gain(d)
+    B_bar = d.staircase(plant.B)
+    return channel_power_coefficients(
+        d.block_diagonal() + B_bar @ F_bar, B_bar[:, :m], F_bar[:m],
+        np.sqrt(ch.noise_density)[:, None] * res.design.U)
+
+
 class TestChannelPowers:
     def test_benchmark_pipeline_powers(self, bench_plant, bench_awgn):
         res = codesign(bench_plant, bench_awgn)
@@ -140,17 +151,13 @@ class TestChannelPowers:
         assert np.all(powers < bench_awgn.power)
         assert_allclose(powers, res.report.channel_powers, rtol=1e-12)
 
-    def test_laurent_coefficients_give_the_powers(self, bench_plant, bench_awgn):
+    def test_polynomial_coefficients_give_the_powers(self, bench_plant, bench_awgn):
         # the demo's loop in decomposition coordinates, at scalings from the
         # one its search starts with to 1000 times below the accepted one
         res = codesign(bench_plant, bench_awgn)
         d, m = res.decomposition, res.design.m_active
-        _, F_bar = synthesize_gain(d)
-        B_bar = d.staircase(bench_plant.B)
-        c, scale = channel_power_coefficients(
-            d.block_diagonal() + B_bar @ F_bar, B_bar[:, :m], F_bar[:m],
-            np.sqrt(bench_awgn.noise_density)[:, None] * res.design.U)
-        assert m == 2 and np.all(np.abs(c) <= scale)
+        c = power_coefficients(bench_plant, bench_awgn, res)
+        assert m == 2 and c.shape == (2 * m - 1, 3)
         Q_inv = np.linalg.inv(d.Q)
         for eps in (1.0, 0.3, res.design.epsilon, 1e-3 * res.design.epsilon):
             T, R = synthesize_codec(bench_awgn, res.design.U, eps, m)
@@ -158,8 +165,33 @@ class TestChannelPowers:
                                          epsilon=eps)
             powers = channel_powers_awgn(closed_loop(bench_plant, design),
                                          bench_awgn.noise_density)
-            laurent = eps ** np.arange(2 - 2 * m, 2 * m - 1)
-            assert np.all(np.abs(laurent @ c - powers) <= 1e-12 * (laurent @ scale))
+            assert_allclose(eps ** np.arange(2 * m - 1) @ c, powers, rtol=1e-12)
+
+    @pytest.mark.parametrize("seed", [None, 0, 1, 2])
+    def test_constant_coefficient_is_the_limit(self, seed, bench_plant, bench_awgn):
+        # c[0], the powers as eps -> 0, is the paper's 2 N gamma: on the AWGN
+        # demo (seed None) and every benchmark AWGN design with two or more
+        # active inputs
+        if seed is None:
+            problems = [(bench_plant, bench_awgn)]
+        else:
+            problems = [(Plant(A=inst.A, B=inst.B),
+                         ChannelEnsemble(kind=inst.kind, **inst.params))
+                        for inst in benchmark_instances(seed)
+                        if inst.kind == "awgn" and inst.B.shape[1] >= 2
+                        and len(inst.params["power"]) >= 2]
+        checked = 0
+        for plant, ch in problems:
+            try:
+                res = codesign(plant, ch)
+            except NetstabError:
+                continue
+            if res.feasible and res.design.m_active >= 2:
+                c = power_coefficients(plant, ch, res)
+                assert_allclose(c[0], 2.0 * ch.noise_density * res.design.gamma,
+                                rtol=1e-9, atol=0.0)
+                checked += 1
+        assert checked >= min(len(problems), 40)
 
     def test_zero_noise_zero_power(self, bench_plant, bench_awgn):
         res = codesign(bench_plant, bench_awgn)
@@ -193,6 +225,18 @@ class TestMeanSquareNorm:
     def test_zero_transfer(self):
         ss = StateSpace(Acl=np.diag([-1.0, -2.0]), Bcl=np.eye(2), Ccl=np.zeros((2, 2)))
         assert ms_norm(ss, np.ones(2)) == 0.0
+
+    def test_overflow_is_typed(self):
+        ss = StateSpace(Acl=-np.eye(2), Bcl=np.eye(2), Ccl=np.full((2, 2), 1e200))
+        with pytest.raises(Overflow, match="mean-square norm: 4 of 4 entrywise"):
+            ms_norm(ss, np.ones(2))
+
+    def test_size_table_n96_overflows(self):
+        # the codec scaling amplifies the dense T F until an entrywise H2
+        # norm overflows at eps = 2^-22; the limit, 0.707107, needs the
+        # search in decomposition coordinates
+        with pytest.raises(Overflow, match=r"mean-square norm: \d+ of 576 "):
+            codesign(*size_table_problem(96))
 
     def test_diagonal_reduces_to_max(self):
         ss = scalar_entry_system(gains=[np.sqrt(8.0), 6.0], poles=[1.0, 2.0])

@@ -17,7 +17,6 @@ from conftest import (
 from netstab import analysis
 from netstab.analysis import analyze, channel_powers_awgn, closed_loop
 from netstab.codesign import (
-    _PREDICTION_RTOL,
     CoDesign,
     CoDesignResult,
     check_corollaries,
@@ -140,6 +139,25 @@ class TestSynthesizeCodec:
         with pytest.raises(CodecInvalid):
             synthesize_codec(bench_awgn, U_BENCH_AWGN, epsilon=0.1, m=2)
 
+    @pytest.mark.parametrize("epsilon", [1.0, 2.0**-40])
+    def test_column_scaled_isometry_rejected_at_every_scaling(self, epsilon):
+        # R T = D U'U D^-1: the diagonal of U'U, here 1.0201 in its first
+        # entry, is never amplified by the scaling, so a dense check of R T
+        # at a tolerance scaled by ||R|| ||T|| ~ eps^-2 passes it at small
+        # eps; the factored check of U'U rejects it
+        noise = np.array([1.0, 2.0, 0.5, 1.0])
+        ch = ChannelEnsemble(kind="awgn", power=[1.0] * 4, noise_density=noise)
+        U = np.linalg.qr(np.random.default_rng(3).normal(size=(4, 3)))[0]
+        U[:, 0] *= 1.01
+        with pytest.raises(CodecInvalid):
+            synthesize_codec(ch, U, epsilon, 3)
+        D = np.diag(epsilon ** np.arange(3.0))
+        T = np.sqrt(noise)[:, None] * U @ np.linalg.inv(D)
+        R = D @ (U.T / np.sqrt(noise))
+        with pytest.raises(CodecInvalid):
+            CoDesign(kind="awgn", F=np.zeros((3, 3)), T=T, R=R, epsilon=epsilon,
+                     gamma=np.zeros(4), U=U)
+
     def test_epsilon_range(self, bench_awgn):
         with pytest.raises(InvalidInput):
             synthesize_codec(bench_awgn, nearest_isometry(U_BENCH_AWGN), 1.5, 2)
@@ -231,7 +249,7 @@ class TestCoDesignPipeline:
 def _searched(plant, ch, monkeypatch):
     """``(started, predicted, coefficients, from_one)``: ``codesign``'s
     outcome with its predicted start, the per-scaling predictions it started
-    from and the expansion's ``(c, scale)`` they came from, and its outcome
+    from and the expansion's coefficients they came from, and its outcome
     when every scaling from one is verified by ``analyze``. An outcome is
     the result, or the type and message of the error raised."""
     module = importlib.import_module("netstab.codesign")
@@ -264,12 +282,13 @@ def _searched(plant, ch, monkeypatch):
 
 def assert_prediction_matches_analyze(plant, ch, monkeypatch):
     """The predicted start changes nothing: ``codesign`` ends as the search
-    from one does. At every scaling up to the accepted one the expansion's
-    verdict equals ``analyze``'s wherever the expansion is decisive, its
-    shortfall from the 1e-9 margin beyond the rounding allowance either
-    way: every scaling it skips fails, and none before the accepted one is
-    predicted to pass. Returns the accepted trail."""
-    started, predicted, coefficients, from_one = _searched(plant, ch, monkeypatch)
+    from one does. The prediction at a scaling is that every margin reaches
+    1e-9 of its power, as ``analyze`` tests. At every scaling up to the
+    accepted one it equals ``analyze``'s verdict wherever the margins decide
+    it by more than 1e-12 of the power: every scaling it skips fails, and
+    none before the accepted one is predicted to pass. Returns the accepted
+    trail."""
+    started, predicted, c, from_one = _searched(plant, ch, monkeypatch)
     if not isinstance(from_one, CoDesignResult):
         assert started == from_one
         return ()
@@ -280,16 +299,17 @@ def assert_prediction_matches_analyze(plant, ch, monkeypatch):
     m = started.design.m_active
     if m >= 2:
         assert predicted is not None
-        c, scale = coefficients
-        powers = np.array([eps for eps, _ in trail])[:, None] ** np.arange(2 - 2 * m, 2 * m - 1)
-        shortfall = 1e-9 * ch.power - (ch.power - powers @ c)
-        allowance = _PREDICTION_RTOL * (powers @ scale)
-        assert list(predicted[: len(trail)]) == list(~np.any(shortfall > allowance, axis=1))
+        powers = np.array([eps for eps, _ in trail])[:, None] ** np.arange(2 * m - 1)
+        margins = ch.power - powers @ c
+        low, high = (1e-9 - 1e-12) * ch.power, (1e-9 + 1e-12) * ch.power
+        assert list(predicted[: len(trail)]) == list(
+            np.all(margins >= 1e-9 * ch.power, axis=1))
         assert predicted[len(trail) - 1]
-        for passes, fails, (_, verdict) in zip(np.all(shortfall < -allowance, axis=1),
-                                               ~predicted[: len(trail)], trail):
+        for passes, fails, predicts, (_, verdict) in zip(
+                np.all(margins > high, axis=1), np.any(margins < low, axis=1),
+                predicted, trail):
             if passes or fails:
-                assert verdict == ("stabilized" if passes else "power_violation")
+                assert verdict == ("stabilized" if predicts else "power_violation")
     return trail
 
 
@@ -323,8 +343,8 @@ def two_block_awgn(draw):
 
 
 class TestPredictedStart:
-    """The search for the codec scaling starts where the Laurent expansion of
-    the AWGN channel powers predicts the first pass."""
+    """The search for the codec scaling starts where the polynomial expansion
+    of the AWGN channel powers predicts the first pass."""
 
     def test_demo(self, bench_plant, bench_awgn, monkeypatch):
         trail = assert_prediction_matches_analyze(bench_plant, bench_awgn, monkeypatch)
@@ -356,12 +376,23 @@ class TestPredictedStart:
         factorizations.clear()
         codesign(plant, ch, epsilon=res.design.epsilon)
         pinned = factorizations["schur"]
-        factorizations.clear()
-        original(*analyzed[-1])
-        # the expansion's one stacked Lyapunov solve, then analyze from the
-        # predicted start, at most one scaling before the accepted one
-        assert len(res.epsilon_trail) >= 5 and steps <= 2
-        assert searched == pinned + 1 + (steps - 1) * factorizations["schur"]
+        # the expansion's one stacked Lyapunov solve, then analyze once, at
+        # the predicted start
+        assert len(res.epsilon_trail) >= 5 and steps == 1
+        assert searched == pinned + 1
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_one_analyze_per_benchmark_ladder_design(self, seed, monkeypatch):
+        original = analysis.analyze
+        analyzed = []
+        monkeypatch.setattr(analysis, "analyze",
+                            lambda *args: analyzed.append(args) or original(*args))
+        for inst in benchmark_instances(seed):
+            if inst.name.startswith("ladder_"):
+                analyzed.clear()
+                codesign(Plant(A=inst.A, B=inst.B),
+                         ChannelEnsemble(kind=inst.kind, **inst.params))
+                assert len(analyzed) == 1, inst.name
 
     @pytest.mark.parametrize("start", [None, 5])
     def test_unstable_loop_keeps_its_message(self, start, bench_plant, bench_awgn,
