@@ -19,12 +19,16 @@ with "power_violation" entries that the codec search predicted rather than
 verified (see ``CoDesignResult``).
 
 A trajectory's ``states`` stack is written from its upper triangle: when
-the stack equals its transpose bit for bit, one encoder call formats the
-triangle entries of every sample, and a mirror index map scatters the texts
-into row-major order; any other stack is written through the identity map.
-The bytes are those ``json.dumps`` writes for ``states.tolist()``, NaN and
-infinities included. The ``table`` format writes its cells through the same
-map. Every other document is one ``json.dumps`` call.
+the stack equals its transpose bit for bit, the triangle entries of every
+sample are formatted once each, in one ``map(repr, ...)`` pass over Python
+floats, and a mirror index map scatters the texts into row-major order; any
+other stack is written through the identity map. A float's ``repr`` is the
+text json writes for it when it is finite; json's ``NaN``, ``Infinity`` and
+``-Infinity`` replace it at the non-finite entries. The bytes are those
+``json.dumps`` writes for ``states.tolist()``. The rest of the trajectory
+document is one ``json.dumps`` call, and one join splices the stack into
+it. The ``table`` format writes its cells through the same map. Every other
+document is one ``json.dumps`` call.
 """
 
 from __future__ import annotations
@@ -157,14 +161,19 @@ def _interleave(cells, width, order, seps):
 
 def _stack_json(states) -> str:
     """``json.dumps(states.tolist())`` with the document's separators, each
-    mirrored pair of entries formatted once."""
+    mirrored pair of entries formatted once: by ``repr``, which is json's
+    text of a finite float, and by json itself at the non-finite entries,
+    whose texts are ``NaN``, ``Infinity`` and ``-Infinity``."""
     states = np.asarray(states, dtype=float)
     if not states.size:
         return json.dumps(states.tolist(), separators=(",", ":"))
     count, n, _ = states.shape
     columns, order = _mirror_map(states)
-    entries = states.reshape(count, n * n)[:, columns].ravel().tolist()
-    cells = json.dumps(entries, separators=(",", ":"))[1:-1].split(",")
+    entries = states.reshape(count, n * n)[:, columns].ravel()
+    # repr, a builtin, calls faster than the slot wrapper float.__repr__
+    cells = list(map(repr, entries.tolist()))
+    for k in np.flatnonzero(~np.isfinite(entries)).tolist():
+        cells[k] = json.dumps(float(entries[k]))
     seps = ([","] * (n - 1) + ["],["]) * n
     seps[-1] = "]],[["
     out = _interleave(cells, columns.size, order.tolist(), seps)
@@ -179,7 +188,7 @@ def emit_machine(obj) -> str:
             text = json.dumps(doc, sort_keys=True, separators=(",", ":"))
             if isinstance(obj, MatrixTrajectory):
                 head, _, tail = text.partition(json.dumps(_STACK))
-                text = head + _stack_json(obj.states) + tail
+                return "".join((head, _stack_json(obj.states), tail, "\n"))
             return text + "\n"
     raise InvalidInput(f"no machine form for {type(obj).__name__}")
 
@@ -324,15 +333,18 @@ def _human_result(r: CoDesignResult):
 
 
 def _human_trajectory(t: MatrixTrajectory):
-    norms = t.frobenius_norms()
-    lines = [
-        "covariance trajectory",
-        f"  samples  : {t.times.size}",
-        f"  t range  : [0, {t.times[-1]:.10g}]",
-        f"  |X| start: {norms[0]:.10g}",
-        f"  |X| end  : {norms[-1]:.10g}",
-        f"  diverged : {'yes, at t=%.6g' % t.diverged_at if t.diverged else 'no'}",
-    ]
+    lines = ["covariance trajectory", f"  samples  : {t.times.size}"]
+    # a trajectory whose first sample overflowed has no samples to describe
+    if t.times.size:
+        norms = t.frobenius_norms()
+        lines += [
+            f"  t range  : [0, {t.times[-1]:.10g}]",
+            f"  |X| start: {norms[0]:.10g}",
+            f"  |X| end  : {norms[-1]:.10g}",
+        ]
+    lines.append(
+        f"  diverged : {'yes, at t=%.6g' % t.diverged_at if t.diverged else 'no'}"
+    )
     return "\n".join(lines) + "\n"
 
 

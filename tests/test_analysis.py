@@ -387,6 +387,26 @@ class TestSampleGrid:
                 _sample_grid(10.0, dt)
 
 
+def indexed_loop_states(plant, design, ch, t_end):
+    """Reference covariance stack: the triangle propagated by ``np.dot`` into
+    each indexed row in turn, then mapped back to the plant's coordinates."""
+    dt = default_time_step(plant, design)
+    times, stride = _sample_grid(t_end, dt)
+    Ls, W, Winv, r, c = _ms_triangle(_ms_loop(plant, design, ch))
+    tri = np.empty((times.size, r.size))
+    tri[0] = (W @ np.outer(plant.x0, plant.x0) @ W.T)[r, c]
+    step = linalg.expm(Ls * (stride * dt))
+    for i in range(1, times.size - 1):
+        np.dot(step, tri[i - 1], out=tri[i])
+    tri[-1] = linalg.expm(Ls * (times[-1] - times[-2])) @ tri[-2]
+    states = np.empty((times.size, plant.n, plant.n))
+    states[:, r, c] = tri
+    states[:, c, r] = tri
+    np.matmul(Winv @ states, Winv.T, out=states)
+    states[:, c, r] = states[:, r, c]
+    return times, states
+
+
 class TestCovarianceSimulation:
     def test_benchmark_fading_decays(self, bench_plant, bench_fading):
         res = codesign(bench_plant, bench_fading)
@@ -398,6 +418,17 @@ class TestCovarianceSimulation:
         assert norms[-1] < norms.max()
         tail = norms[int(0.8 * norms.size):]
         assert np.all(np.diff(tail) <= 1e-9)
+
+    def test_criterion_03_states_are_the_indexed_loop(self, bench_plant, bench_fading):
+        # the same dgemv on the same rows: equal bit for bit, not just close
+        design = codesign(bench_plant, bench_fading).design
+        alpha = ms_operator_abscissa(bench_plant, design, bench_fading)
+        t_end = float(np.log(1e5) / abs(alpha))
+        traj = simulate_fading_covariance(bench_plant, design, bench_fading, t_end=t_end)
+        times, states = indexed_loop_states(bench_plant, design, bench_fading, t_end)
+        assert times.size == 7604 and not traj.diverged
+        assert np.array_equal(traj.times, times)
+        assert np.array_equal(traj.states, states)
 
     def test_open_loop_diverges(self, bench_plant, bench_fading):
         U = nearest_isometry(U_BENCH_FADING)

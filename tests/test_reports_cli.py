@@ -255,6 +255,24 @@ class TestCli:
         assert lines[0].split(",")[0] == "t"
         assert len(lines) > 2
 
+    def test_simulate_overflowing_at_the_first_sample(self, tmp_path, capsys):
+        # x0 x0' has an entry of 1e160, past the 1e150 overflow limit, so the
+        # trajectory is empty and diverges at t = 0
+        problem = tmp_path / "huge_x0.yaml"
+        problem.write_text(
+            open(FADING_FILE).read().replace("x0: [1, 1, 1, 1]", "x0: [1.0e+80, 1, 1, 1]")
+        )
+        human = ("covariance trajectory\n  samples  : 0\n"
+                 "  diverged : yes, at t=0\n")
+        assert self.run("simulate", str(problem)) == 1
+        assert capsys.readouterr().out == human
+        assert self.run("simulate", str(problem), "--format", "machine") == 1
+        doc = capsys.readouterr().out
+        assert json.loads(doc)["payload"] == {
+            "diverged_at": 0.0, "states": [], "times": []
+        }
+        assert emit(parse_machine(doc), "human") == human
+
     def test_simulate_rejects_awgn(self):
         assert self.run("simulate", AWGN_FILE) == 2
 
